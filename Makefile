@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-full race bench bench-json bench-check figures figures-fast demo-overload obs-demo chaos chaos-demo proxy-demo proxy-test sysfault sysfault-demo lint invariants verify clean
+.PHONY: all build test test-full race bench bench-selfcheck bench-go bench-json bench-check figures figures-fast demo-overload obs-demo chaos chaos-demo proxy-demo proxy-test sysfault sysfault-demo lint invariants verify clean
 
 all: build test
 
@@ -20,8 +20,22 @@ test-full:
 race:
 	go test -race -short ./...
 
-# One iteration of every benchmark, including the per-figure harness.
+# The repository's benchmark (bench/README.md, BENCHMARK.json): builds
+# the three server binaries, runs the seven live workloads against them
+# and prints every end-to-end and per-layer metric by name (~3 min).
+# Narrow it with e.g. `go run ./bench -workload nio_small -notrace`.
 bench:
+	go run ./bench
+
+# The benchmark's A/A check: the untraced set twice on one build; exits
+# non-zero if any end-to-end metric differs past its bound. Run it first
+# on a new host — a host that fails it cannot resolve a real change.
+bench-selfcheck:
+	go run ./bench -selfcheck
+
+# One iteration of every `go test` benchmark, including the per-figure
+# simulator harness (the rows bench-json records).
+bench-go:
 	go test -bench=. -benchmem -benchtime=1x ./...
 
 # The recorded perf trajectory (ROADMAP item 3): the same bench run,
@@ -105,7 +119,8 @@ lint:
 	go run ./cmd/niovet ./...
 
 # Unit tests with the runtime invariant layer compiled in (refcounts,
-# epoll interest set, closed-conn guards) under the race detector.
+# epoll interest set, closed-conn guards, no orphan MSG_MORE cork) under
+# the race detector.
 invariants:
 	go test -tags invariants -race -short ./...
 

@@ -14,7 +14,8 @@ import (
 // the reproduction is supposed to measure.
 var Syscallerr = &Analyzer{
 	Name: "syscallerr",
-	Doc: "check that raw syscall.Read/Write/Accept4/EpollWait/Sendfile call sites " +
+	Doc: "check that raw syscall.Read/Write/Accept4/EpollWait/Sendfile/Sendto call sites " +
+		"(and sendto(2) spelled as syscall.Syscall*(SYS_SENDTO, ...)) " +
 		"classify EINTR and EAGAIN instead of treating every error as fatal; " +
 		"EINTR classification may be delegated by wrapping the call in a " +
 		"closure passed to a retryEINTR helper; sysfault seam call sites " +
@@ -31,6 +32,15 @@ var syscallErrTargets = map[string]struct{ eintr, eagain bool }{
 	"Accept4":   {true, true},
 	"EpollWait": {true, false},
 	"Sendfile":  {true, true},
+	"Sendto":    {true, true},
+}
+
+// rawSyscallFuncs are the syscall-package trampolines through which
+// sendto(2) is reached when its byte count is wanted (syscall.Sendto
+// drops it): a call whose first argument is syscall.SYS_SENDTO is
+// audited as Sendto.
+var rawSyscallFuncs = map[string]bool{
+	"Syscall": true, "Syscall6": true, "RawSyscall": true, "RawSyscall6": true,
 }
 
 // sysfaultPkgPath is the fault-injection seam every hot-path syscall is
@@ -43,10 +53,11 @@ const sysfaultPkgPath = "repro/internal/sysfault"
 // seamErrTargets are the sysfault wrappers whose callers must still
 // classify EAGAIN — the would-block path passes through the seam raw.
 var seamErrTargets = map[string]bool{
-	"Read":     true,
-	"Write":    true,
-	"Accept4":  true,
-	"Sendfile": true,
+	"Read":      true,
+	"Write":     true,
+	"WriteMore": true,
+	"Accept4":   true,
+	"Sendfile":  true,
 }
 
 func runSyscallerr(pass *Pass) error {
@@ -104,16 +115,26 @@ func checkSyscallErrFunc(pass *Pass, fn *ast.FuncDecl) {
 			return
 		}
 		name := pkgFuncName(pass.Info, call, "syscall")
+		if rawSyscallFuncs[name] && len(call.Args) > 0 &&
+			isPkgObject(pass.Info, ast.Unparen(call.Args[0]), "syscall", "SYS_SENDTO") {
+			name = "Sendto"
+		}
 		need, ok := syscallErrTargets[name]
 		if !ok {
 			return
 		}
-		if pass.Pkg.Name() == "sysfault" && fn.Name.Name == name {
+		wrapper := name
+		if name == "Sendto" {
+			// sendto(2) is the write site's MSG_MORE spelling.
+			wrapper = "WriteMore"
+		}
+		if pass.Pkg.Name() == "sysfault" && fn.Name.Name == wrapper {
 			// The seam wrapper itself: sysfault.Read's raw syscall.Read
 			// is the blessed home of the bare call — its retry loop
 			// absorbs EINTR and its contract is to hand EAGAIN to the
-			// caller unclassified. Only the same-named wrapper is
-			// exempt; any other bare syscall in the package still fails.
+			// caller unclassified. Only the wrapper that owns the
+			// syscall is exempt; any other bare syscall in the package
+			// still fails.
 			return
 		}
 		if errResultDiscarded(call, stack) {

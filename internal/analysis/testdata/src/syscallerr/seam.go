@@ -27,6 +27,29 @@ func seamBareWrite(fd int, buf []byte) bool {
 	return n == len(buf)
 }
 
+// bad: WriteMore is the write site's MSG_MORE spelling and passes
+// would-block through exactly as Write does.
+func seamBareWriteMore(fd int, buf []byte) bool {
+	n, err := sysfault.WriteMore(0, fd, buf) // want "sysfault.WriteMore.*EAGAIN"
+	if err != nil {
+		return false
+	}
+	return n == len(buf)
+}
+
+// good: the seam's sendto owes EAGAIN only — no EINTR classification
+// is demanded of the call site.
+func seamClassifiedWriteMore(fd int, buf []byte) int {
+	n, err := sysfault.WriteMore(0, fd, buf)
+	switch err {
+	case nil:
+		return n
+	case syscall.EAGAIN:
+		return 0
+	}
+	return -1
+}
+
 // good: EAGAIN classified; no EINTR classification is demanded because
 // the wrapper's retry loop owns it.
 func seamClassifiedRead(fd int, buf []byte) int {

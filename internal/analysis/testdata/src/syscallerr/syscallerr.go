@@ -5,6 +5,7 @@ package fixture
 import (
 	"errors"
 	"syscall"
+	"unsafe"
 )
 
 // bad: a bare err != nil treats both transient errnos as fatal.
@@ -106,4 +107,52 @@ func viaHelper(fd int, buf []byte) int {
 // handling (the wakeup-pipe write pattern).
 func fireAndForget(fd int) {
 	_, _ = syscall.Write(fd, []byte{1})
+}
+
+// bad: sendto(2) is write(2) with flags — a bare site outside the
+// sysfault seam owes both classifications like any other raw write.
+func bareSendto(fd int, buf []byte) bool {
+	err := syscall.Sendto(fd, buf, syscall.MSG_MORE, nil) // want "syscall.Sendto.*EINTR" "syscall.Sendto.*EAGAIN"
+	if err != nil {
+		return false
+	}
+	return true
+}
+
+// bad: the trampoline spelling (the one that keeps the byte count) is
+// the same syscall and gets no pass.
+func bareRawSendto(fd int, buf []byte) int {
+	n, _, errno := syscall.Syscall6(syscall.SYS_SENDTO, uintptr(fd), // want "syscall.Sendto.*EINTR" "syscall.Sendto.*EAGAIN"
+		uintptr(unsafe.Pointer(&buf[0])), uintptr(len(buf)), syscall.MSG_MORE, 0, 0)
+	if errno != 0 {
+		return -1
+	}
+	return int(n)
+}
+
+// good: both errnos classified at a raw sendto site.
+func classifiedRawSendto(fd int, buf []byte) int {
+	for {
+		n, _, errno := syscall.Syscall6(syscall.SYS_SENDTO, uintptr(fd),
+			uintptr(unsafe.Pointer(&buf[0])), uintptr(len(buf)), syscall.MSG_MORE, 0, 0)
+		switch errno {
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return 0
+		case 0:
+			return int(n)
+		}
+		return -1
+	}
+}
+
+// good: the trampolines carry every syscall; only SYS_SENDTO is
+// audited through them.
+func rawGetpid() int {
+	pid, _, errno := syscall.RawSyscall(syscall.SYS_GETPID, 0, 0, 0)
+	if errno != 0 {
+		return -1
+	}
+	return int(pid)
 }

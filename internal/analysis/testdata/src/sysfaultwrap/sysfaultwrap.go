@@ -5,7 +5,10 @@
 // package — and any un-routed bare syscall — still fails the lint.
 package sysfault
 
-import "syscall"
+import (
+	"syscall"
+	"unsafe"
+)
 
 // good: the same-named wrapper is exempt — this is the seam itself.
 func Read(fd int, p []byte) (int, error) {
@@ -27,6 +30,33 @@ func Write(fd int, p []byte) (int, error) {
 		}
 		return n, err
 	}
+}
+
+// good: sendto(2) is the write site's MSG_MORE spelling, and its one
+// blessed home is the wrapper named WriteMore.
+func WriteMore(fd int, p []byte) (int, error) {
+	for {
+		n, _, errno := syscall.Syscall6(syscall.SYS_SENDTO, uintptr(fd),
+			uintptr(unsafe.Pointer(&p[0])), uintptr(len(p)), syscall.MSG_MORE, 0, 0)
+		if errno == syscall.EINTR {
+			continue
+		}
+		if errno != 0 {
+			return 0, errno
+		}
+		return int(n), nil
+	}
+}
+
+// bad: a sendto anywhere else in the seam package is as un-routed as
+// one outside it.
+func sendFlagged(fd int, p []byte) int {
+	n, _, errno := syscall.Syscall6(syscall.SYS_SENDTO, uintptr(fd), // want "EINTR" "EAGAIN"
+		uintptr(unsafe.Pointer(&p[0])), uintptr(len(p)), syscall.MSG_MORE, 0, 0)
+	if errno != 0 {
+		return -1
+	}
+	return int(n)
 }
 
 // bad: a helper with a different name gets no exemption — a bare

@@ -5,7 +5,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 	"syscall"
@@ -566,11 +565,6 @@ func (s *Server) acceptLoop() {
 			s.reserveFD = -1
 		}
 	}()
-	// The loop blocks in raw epoll_wait, which parks an OS thread; pin
-	// the goroutine so it owns that thread outright (a reactor thread in
-	// the paper's sense) instead of bouncing through scheduler handoffs.
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
 	var hb *overload.Heartbeat
 	if wd := s.cfg.Watchdog; wd != nil {
 		hb = wd.Register("core-acceptor")
@@ -771,6 +765,9 @@ type outSeg struct {
 	// writes. off/end keep their meaning; sendfile is never retried on
 	// this segment.
 	fallback bool
+	// eor marks the last segment of a reply: the write that completes it
+	// pushes whatever is queued behind it (see flush).
+	eor bool
 }
 
 // conn is the per-connection state owned by exactly one shard.
@@ -782,11 +779,26 @@ type conn struct {
 	// out is the pending response segment queue: each segment is written
 	// non-blockingly; when the socket fills we keep the position and
 	// wait for writability.
-	out      []outSeg
+	out []outSeg
+	// outBase is out's backing array from its first slot, empty: flush
+	// pops by re-slicing out forward, which gives the capacity away, so a
+	// drained queue restarts here instead of growing a new array per
+	// batch. outInline is that array until a pipelined batch outgrows it.
+	outBase   []outSeg
+	outInline [2]outSeg
+	// hbuf is the arena response heads are serialized into; queued head
+	// segments are sub-slices of it, so it is rewound only when the queue
+	// has drained (an append that moves it leaves the queued heads on the
+	// old array, which they keep alive).
+	hbuf     []byte
 	outOff   int  // sent bytes of the head segment's buf
 	writeArm bool // EPOLLOUT currently requested
-	closing  bool // close once out drains (400 or Connection: close)
-	closed   bool // torn down; output must never be queued again
+	// corked is whether the last write on the socket carried MSG_MORE:
+	// the kernel may be holding a partial segment for a successor (see
+	// flush). Only the invariant build reads it.
+	corked  bool
+	closing bool // close once out drains (400, Connection: close, or the peer half-closed)
+	closed  bool // torn down; output must never be queued again
 	// wheeled marks the connection as filed in its shard's timer wheel
 	// (at most one entry per connection; see wheel.go).
 	wheeled bool
@@ -815,6 +827,53 @@ type conn struct {
 	handlerStart time.Time
 	serveDone    time.Time
 	firstByte    bool
+}
+
+// headArenaBytes holds three store heads or two docroot ones (with
+// validators); headArenaKeep is the most an idle connection may keep of
+// an arena a long batch grew.
+const (
+	headArenaBytes = 512
+	headArenaKeep  = 16 << 10
+)
+
+// push queues one output segment.
+func (c *conn) push(seg outSeg) {
+	grows := len(c.out) == cap(c.out)
+	c.out = append(c.out, seg)
+	if grows {
+		c.outBase = c.out[:0] // append moved the pending segments to the front of a new array
+	}
+}
+
+// endReply marks the segment queued last as the end of its reply.
+func (c *conn) endReply() { c.out[len(c.out)-1].eor = true }
+
+// pushHead serializes one response head into the arena and queues it.
+func (c *conn) pushHead(code int, contentType string, contentLen int64, keepAlive bool, etag, lastModified string) {
+	if c.hbuf == nil {
+		c.hbuf = make([]byte, 0, headArenaBytes)
+	}
+	at := len(c.hbuf)
+	c.hbuf = httpwire.AppendResponseHeaderValidators(c.hbuf, code, contentType, contentLen, keepAlive, etag, lastModified)
+	c.push(outSeg{buf: c.hbuf[at:len(c.hbuf):len(c.hbuf)]})
+}
+
+// pop drops the fully sent head segment; a drained queue rewinds to the
+// front of its array and of the head arena.
+//
+//nio:hot
+func (c *conn) pop() {
+	c.out[0] = outSeg{}
+	c.out = c.out[1:]
+	if len(c.out) == 0 {
+		c.out = c.outBase
+		if cap(c.hbuf) > headArenaKeep {
+			c.hbuf = nil
+		} else {
+			c.hbuf = c.hbuf[:0]
+		}
+	}
 }
 
 // shard is one reactor event loop: its own poller (epoll fd + wakeup
@@ -957,9 +1016,6 @@ func (w *shard) give(fd int) {
 func (w *shard) loop() {
 	defer w.srv.wg.Done()
 	defer w.shutdown()
-	// Dedicated reactor thread (see acceptLoop).
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
 	for {
 		if w.hb != nil {
 			w.hb.Begin()
@@ -1154,6 +1210,8 @@ func (w *shard) reArmAccept(now time.Time) {
 func (w *shard) adopt(fd int, at time.Time) {
 	now := time.Now()
 	c := &conn{fd: fd, lastActive: now, headerStart: now, acceptedAt: at}
+	c.outBase = c.outInline[:0]
+	c.out = c.outBase
 	if err := w.poller.Add(fd, true, false); err != nil {
 		reactor.CloseFD(w.lane, fd)
 		w.srv.connsOpen.add(-1)
@@ -1271,15 +1329,33 @@ func (w *shard) drainInbox() {
 	}
 }
 
-// readable drains the socket and serves every parsed request.
+// readable reads what the socket holds and serves every parsed request.
+// One read(2) per wake unless it filled the buffer: the poller is
+// level-triggered, so whatever a short read left behind (including the
+// tail of a fault-truncated read) reports again on the next Wait, and a
+// second read just to collect EAGAIN is a syscall per request for
+// nothing.
 func (w *shard) readable(c *conn) {
 	v := w.obs
 	c.lastActive = time.Now()
+	halfClosed := false
 	for {
 		n, eof, again, err := reactor.Read(w.lane, c.fd, w.buf)
-		if err != nil || eof {
+		if err != nil {
 			w.closeConn(c)
 			return
+		}
+		if eof {
+			if len(c.out) == 0 {
+				w.closeConn(c)
+				return
+			}
+			// The peer finished sending (shutdown(SHUT_WR), or a FIN in
+			// the same wake as its last request) but is still owed what
+			// is queued: deliver it, then close.
+			c.closing = true
+			halfClosed = true
+			break
 		}
 		if again {
 			break
@@ -1325,8 +1401,12 @@ func (w *shard) readable(c *conn) {
 		}
 		if perr != nil {
 			w.stats.badRequest.add(1)
-			c.out = append(c.out, outSeg{buf: httpwire.AppendResponseHeader(nil, 400, "text/plain", 0, false)})
+			c.pushHead(400, "text/plain", 0, false, "", "")
+			c.endReply()
 			c.closing = true
+			break
+		}
+		if n < len(w.buf) {
 			break
 		}
 	}
@@ -1343,6 +1423,12 @@ func (w *shard) readable(c *conn) {
 	}
 	w.flush(c)
 	if c2, still := w.conns[c.fd]; still && c2 == c {
+		if halfClosed {
+			// Still open means the flush blocked with write interest
+			// armed. EOF stays readable forever; drop read interest so
+			// the loop parks until the socket drains.
+			_ = w.poller.Modify(c.fd, false, true)
+		}
 		w.scheduleTimeout(c, time.Now())
 	}
 }
@@ -1364,7 +1450,9 @@ func (w *shard) serveSafe(c *conn, req *httpwire.Request) (ok bool) {
 					c.out[i].ent = nil
 				}
 			}
-			c.out = append(c.out[:mark], outSeg{buf: httpwire.AppendResponseHeader(nil, 500, "text/plain", 0, false)})
+			c.out = c.out[:mark]
+			c.pushHead(500, "text/plain", 0, false, "", "")
+			c.endReply()
 			c.closing = true
 			c.replies++
 			w.stats.replies.add(1)
@@ -1414,12 +1502,13 @@ func (w *shard) serve(c *conn, req *httpwire.Request) {
 	}
 	switch {
 	case req.Method != "GET" && req.Method != "HEAD":
-		c.out = append(c.out, outSeg{buf: httpwire.AppendResponseHeader(nil, 501, "text/plain", 0, req.KeepAlive)})
+		c.pushHead(501, "text/plain", 0, req.KeepAlive, "", "")
 	case w.srv.cfg.Docroot != nil:
 		w.serveDocroot(c, req)
 	default:
 		w.serveStore(c, req)
 	}
+	c.endReply()
 	c.replies++
 	w.stats.replies.add(1)
 	if !req.KeepAlive {
@@ -1432,11 +1521,11 @@ func (w *shard) serveStore(c *conn, req *httpwire.Request) {
 	body, ctype, ok := w.srv.cfg.Store.Get(req.Path)
 	if !ok {
 		w.stats.notFound.add(1)
-		c.out = append(c.out, outSeg{buf: httpwire.AppendResponseHeader(nil, 404, "text/plain", 0, req.KeepAlive)})
+		c.pushHead(404, "text/plain", 0, req.KeepAlive, "", "")
 	} else {
-		c.out = append(c.out, outSeg{buf: httpwire.AppendResponseHeader(nil, 200, ctype, int64(len(body)), req.KeepAlive)})
+		c.pushHead(200, ctype, int64(len(body)), req.KeepAlive, "", "")
 		if req.Method == "GET" && len(body) > 0 {
-			c.out = append(c.out, outSeg{buf: body})
+			c.push(outSeg{buf: body})
 		}
 	}
 }
@@ -1449,18 +1538,16 @@ func (w *shard) serveDocroot(c *conn, req *httpwire.Request) {
 	ent, err := w.srv.cfg.Docroot.Get(req.Path)
 	if err != nil {
 		w.stats.notFound.add(1)
-		c.out = append(c.out, outSeg{buf: httpwire.AppendResponseHeader(nil, 404, "text/plain", 0, req.KeepAlive)})
+		c.pushHead(404, "text/plain", 0, req.KeepAlive, "", "")
 		return
 	}
 	if httpwire.NotModified(req, ent.ETag, ent.ModTime) {
 		w.stats.notModified.add(1)
-		c.out = append(c.out, outSeg{buf: httpwire.AppendResponseHeaderValidators(
-			nil, 304, ent.ContentType, 0, req.KeepAlive, ent.ETag, ent.LastModified)})
+		c.pushHead(304, ent.ContentType, 0, req.KeepAlive, ent.ETag, ent.LastModified)
 		ent.Release()
 		return
 	}
-	c.out = append(c.out, outSeg{buf: httpwire.AppendResponseHeaderValidators(
-		nil, 200, ent.ContentType, ent.Size, req.KeepAlive, ent.ETag, ent.LastModified)})
+	c.pushHead(200, ent.ContentType, ent.Size, req.KeepAlive, ent.ETag, ent.LastModified)
 	if req.Method != "GET" || ent.Size == 0 {
 		ent.Release()
 		return
@@ -1468,12 +1555,12 @@ func (w *shard) serveDocroot(c *conn, req *httpwire.Request) {
 	if body := ent.Body(); body != nil {
 		// Buffered path: the immutable body slice outlives the entry, so
 		// the reference can be dropped immediately.
-		c.out = append(c.out, outSeg{buf: body})
+		c.push(outSeg{buf: body})
 		ent.Release()
 		return
 	}
 	// Zero-copy path: the segment owns the reference until fully sent.
-	c.out = append(c.out, outSeg{ent: ent, off: 0, end: ent.Size})
+	c.push(outSeg{ent: ent, off: 0, end: ent.Size})
 }
 
 // sendfileChunk bounds one sendfile call so a single huge file cannot
@@ -1488,10 +1575,22 @@ const sendfileChunk = 512 << 10
 // resume point, so a response interrupted mid-file continues exactly
 // where the socket buffer filled.
 //
+// The cork rule: a byte write that does not complete its reply — a
+// header with a body or file range queued behind it, or a buffered-
+// fallback chunk with more of its file to come — carries MSG_MORE, and
+// the write that completes the reply pushes. Header and body so leave
+// as one segment and wake the reader once, at the same syscall count,
+// while a finished reply is never held back for the next one in a
+// pipelined batch. The flag depends only on the queue (outSeg.eor), a
+// flagged segment always has its successor queued behind it, and every
+// exit that leaves a flagged write last either closes the socket or has
+// EPOLLOUT armed, so no cork is left to the kernel's 200 ms timer.
+//
 //nio:hot
 func (w *shard) flush(c *conn) {
 	if invariant.Enabled {
 		invariant.Assertf(!c.closed, "core: flush on closed conn fd %d", c.fd)
+		defer w.assertNoOrphanCork(c)
 	}
 	v := w.obs
 	for len(c.out) > 0 {
@@ -1518,6 +1617,11 @@ func (w *shard) flush(c *conn) {
 				seg.fallback = true
 				continue
 			}
+			if n > 0 {
+				// sendfile(2) pushes at the end of what it sent, and with
+				// it any byte segment corked in front.
+				c.corked = false
+			}
 			w.stats.bytesOut.add(int64(n))
 			w.stats.sendfileBytes.add(int64(n))
 			if v != nil && n > 0 && !c.firstByte {
@@ -1526,8 +1630,7 @@ func (w *shard) flush(c *conn) {
 			}
 			if seg.off >= seg.end {
 				seg.ent.Release()
-				c.out[0] = outSeg{}
-				c.out = c.out[1:]
+				c.pop()
 				continue
 			}
 			if again || n == 0 {
@@ -1548,7 +1651,7 @@ func (w *shard) flush(c *conn) {
 			continue
 		}
 		head := seg.buf[c.outOff:]
-		n, again, err := reactor.Write(w.lane, c.fd, head)
+		n, again, err := w.write(c, head, !seg.eor)
 		if err != nil {
 			if errors.Is(err, syscall.ENOBUFS) {
 				// Transient kernel buffer exhaustion is a stall, not a
@@ -1570,8 +1673,7 @@ func (w *shard) flush(c *conn) {
 			v.Record(c.obsID, obs.FirstByte, time.Since(c.acceptedAt))
 		}
 		if n == len(head) {
-			c.out[0] = outSeg{}
-			c.out = c.out[1:]
+			c.pop()
 			c.outOff = 0
 			continue
 		}
@@ -1600,6 +1702,26 @@ func (w *shard) flush(c *conn) {
 	}
 }
 
+// write is one non-blocking write of p to c's socket; more says p does
+// not complete its reply (the cork rule, see flush).
+//
+//nio:hot
+func (w *shard) write(c *conn, p []byte, more bool) (n int, again bool, err error) {
+	c.corked = more
+	if more {
+		return reactor.WriteMore(w.lane, c.fd, p)
+	}
+	return reactor.Write(w.lane, c.fd, p)
+}
+
+// assertNoOrphanCork is flush's exit check under -tags invariants: a
+// flagged write may be the socket's last only if the loop is certain to
+// follow it — EPOLLOUT armed — or the socket is closed (close pushes).
+func (w *shard) assertNoOrphanCork(c *conn) {
+	invariant.Assertf(!c.corked || c.writeArm || c.closed,
+		"core: flush left fd %d corked with no write interest armed", c.fd)
+}
+
 // fallbackChunk bounds one buffered-fallback read+write so a degraded
 // response cannot monopolize the reactor thread any more than a
 // healthy sendfile one can.
@@ -1626,7 +1748,8 @@ func (w *shard) flushFallback(c *conn, seg *outSeg, v *obs.View) bool {
 		w.closeConn(c)
 		return false
 	}
-	n, again, err := reactor.Write(w.lane, c.fd, chunk[:rn])
+	more := seg.off+int64(rn) < seg.end // a file range always ends its reply
+	n, again, err := w.write(c, chunk[:rn], more)
 	if err != nil {
 		if errors.Is(err, syscall.ENOBUFS) {
 			w.stats.writeStalls.add(1)
@@ -1647,8 +1770,7 @@ func (w *shard) flushFallback(c *conn, seg *outSeg, v *obs.View) bool {
 	}
 	if seg.off >= seg.end {
 		seg.ent.Release()
-		c.out[0] = outSeg{}
-		c.out = c.out[1:]
+		c.pop()
 		return true
 	}
 	if again || n < rn {
@@ -1766,5 +1888,5 @@ func releaseOut(c *conn) {
 			c.out[i].ent = nil
 		}
 	}
-	c.out = nil
+	c.out, c.outBase, c.hbuf = nil, nil, nil
 }

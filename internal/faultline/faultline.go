@@ -323,10 +323,13 @@ func (p *Proxy) sleep(d time.Duration) bool {
 }
 
 // forward is the transparent fast path for a direction with no
-// discipline: one synchronous write, no segmentation.
+// discipline: one synchronous write, no segmentation. Like every
+// delivery site it counts BEFORE the write: a peer that has read the
+// bytes must never find the counter still behind them (a write that
+// fails is a dying connection, whose last chunk then counts as offered).
 func (p *Proxy) forward(dst net.Conn, buf []byte, counter *metrics.Counter) error {
-	n, err := dst.Write(buf)
-	counter.Add(int64(n))
+	counter.Add(int64(len(buf)))
+	_, err := dst.Write(buf)
 	return err
 }
 

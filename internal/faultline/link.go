@@ -439,10 +439,10 @@ func (pc *pacer) send(dst writeConn, chunk []byte, bytes *metrics.Counter) bool 
 		if !pc.p.sleepUntil(pc.txAt) {
 			return false
 		}
-		wn, err := dst.Write(chunk[:n])
-		bytes.Add(int64(wn))
+		// Counted before delivery; see Proxy.forward.
+		bytes.Add(int64(n))
 		pc.lc.segments.Inc()
-		if err != nil {
+		if _, err := dst.Write(chunk[:n]); err != nil {
 			return false
 		}
 		chunk = chunk[n:]
@@ -500,11 +500,12 @@ func (p *Proxy) linkWriter(dst writeConn, lk Link, ch <-chan frag, bytes *metric
 			failed = true
 			continue
 		}
+		// Counted before delivery; see Proxy.forward.
+		bytes.Add(int64(len(fr.data)))
 		if _, err := dst.Write(fr.data); err != nil {
 			failed = true
 			continue
 		}
-		bytes.Add(int64(len(fr.data)))
 		floor = deliverAt
 	}
 	if !failed && fin != nil {

@@ -30,7 +30,6 @@ package proxy
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -312,6 +311,10 @@ type dconn struct {
 	outOff   int
 	writeArm bool
 	closing  bool
+	// eof: the client finished sending (half-close) while still owed
+	// replies. Read interest is dropped; the connection closes once
+	// everything it asked for has been relayed and flushed.
+	eof bool
 
 	obsID      uint64
 	acceptedAt time.Time
@@ -533,8 +536,6 @@ var errUpstreamHangup = errors.New("proxy: upstream hangup")
 func (s *Server) loop() {
 	defer s.wg.Done()
 	defer s.teardown()
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
 
 	var hb *overload.Heartbeat
 	if s.cfg.Watchdog != nil {
@@ -814,15 +815,32 @@ func peerIP(fd int) string {
 	return ""
 }
 
+// dReadable reads what the client sent and queues a relay per parsed
+// request. One read(2) per wake unless it filled the buffer: the poller
+// is level-triggered, so the rest reports again on the next Wait.
 func (s *Server) dReadable(d *dconn) {
 	for {
 		n, eof, again, err := reactor.Read(s.lane, d.fd, s.buf)
 		if again {
 			break
 		}
-		if err != nil || eof {
+		if err != nil {
 			s.closeD(d)
 			return
+		}
+		if eof {
+			if d.active == nil && len(d.pending) == 0 && len(d.out) == 0 {
+				s.closeD(d)
+				return
+			}
+			// Half-closed with replies owed: stop reading (EOF stays
+			// readable forever), finish what was asked, then close.
+			d.eof = true
+			if err := s.poller.Modify(d.fd, false, d.writeArm); err != nil {
+				s.closeD(d)
+				return
+			}
+			break
 		}
 		if pl := s.obs; pl != nil && len(d.pending) == 0 && d.active == nil {
 			pl.Record(d.obsID, obs.HeaderRead, 0)
@@ -839,7 +857,7 @@ func (s *Server) dReadable(d *dconn) {
 			s.respondLocal(d, 400, nil)
 			break
 		}
-		if d.closing {
+		if d.closing || n < len(s.buf) {
 			break
 		}
 	}
@@ -1197,13 +1215,13 @@ func (s *Server) flushD(d *dconn) {
 		}
 	}
 	s.observeFirst(d)
-	if d.closing && d.active == nil && len(d.pending) == 0 {
+	if (d.closing || d.eof) && d.active == nil && len(d.pending) == 0 {
 		s.closeD(d)
 		return
 	}
 	if d.writeArm {
 		d.writeArm = false
-		if err := s.poller.Modify(d.fd, true, false); err != nil {
+		if err := s.poller.Modify(d.fd, !d.eof, false); err != nil {
 			s.closeD(d)
 		}
 	}
@@ -1213,7 +1231,7 @@ func (s *Server) armWriteD(d *dconn) {
 	if d.writeArm {
 		return
 	}
-	if err := s.poller.Modify(d.fd, true, true); err != nil {
+	if err := s.poller.Modify(d.fd, !d.eof, true); err != nil {
 		s.closeD(d)
 		return
 	}

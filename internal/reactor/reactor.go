@@ -20,7 +20,9 @@ package reactor
 
 import (
 	"fmt"
+	"runtime"
 	"syscall"
+	"time"
 
 	"repro/internal/sysfault"
 )
@@ -54,7 +56,30 @@ type Poller struct {
 	// zero-cost no-op otherwise) so the invariant layer can check it
 	// against the reactor's connection table.
 	reg regSet
+	// lastYield is when the owning loop last passed through the Go
+	// scheduler (see yieldEvery).
+	lastYield time.Time
 }
+
+// yieldEvery bounds how long a reactor loop runs without passing through
+// the Go scheduler. A loop that only ever parks in epoll_wait(2) stays
+// the running goroutine of its P indefinitely: after 10 ms sysmon marks
+// it overdue for preemption, and from then on takes the P away at every
+// look that finds the loop inside a syscall — where a busy reactor spends
+// most of its time — and, having found work, keeps looking every ~100 us.
+// Measured under pipelined load on one CPU: 4 300 sysmon wakes/s at 6 %
+// of the CPU, the loop re-acquiring its P through the scheduler lock
+// several thousand times a second, a third of the wall time in batches
+// slower than 1.5x the median, and the background GC worker never
+// scheduled (every mark phase finished by assists alone; DESIGN.md
+// section 15). A Gosched is ~0.1 us when nothing
+// else is runnable, lets the GC worker and the process's other goroutines
+// (date ticker, admin plane) run when something is, and keeps sysmon
+// asleep (100 wakes/s).
+const yieldEvery = time.Millisecond
+
+// yield is runtime.Gosched; a variable so a test can count the calls.
+var yield = runtime.Gosched
 
 // NewPoller creates an epoll instance sized for n simultaneous events per
 // Wait call (n <= 0 selects a default of 1024) on fault lane 0.
@@ -90,10 +115,15 @@ func NewPollerLane(n int, lane sysfault.Lane) (*Poller, error) {
 	return p, nil
 }
 
+// mask asks for EPOLLRDHUP only alongside read interest: both are
+// level-triggered, so a connection that has stopped reading (draining,
+// or flushing a reply to a peer that already sent its FIN) would
+// otherwise wake the loop on every Wait for a condition it will not
+// consume. EPOLLHUP/EPOLLERR are reported regardless.
 func mask(readable, writable bool) uint32 {
-	var m uint32 = syscall.EPOLLRDHUP
+	var m uint32
 	if readable {
-		m |= syscall.EPOLLIN
+		m |= syscall.EPOLLIN | syscall.EPOLLRDHUP
 	}
 	if writable {
 		m |= syscall.EPOLLOUT
@@ -147,6 +177,10 @@ func (p *Poller) InterestCount() int { return p.reg.size() }
 //
 //nio:hot
 func (p *Poller) Wait(timeoutMs int) ([]Event, error) {
+	if time.Since(p.lastYield) > yieldEvery {
+		yield()
+		p.lastYield = time.Now()
+	}
 	n, err := sysfault.EpollWait(p.lane, p.epfd, p.events, timeoutMs)
 	if err != nil {
 		return nil, fmt.Errorf("reactor: epoll_wait: %w", err)
@@ -408,6 +442,27 @@ func Read(lane sysfault.Lane, fd int, buf []byte) (n int, eof, again bool, err e
 //nio:hot
 func Write(lane sysfault.Lane, fd int, buf []byte) (n int, again bool, err error) {
 	n, err = sysfault.Write(lane, fd, buf)
+	switch err {
+	case nil:
+		return n, false, nil
+	case syscall.EAGAIN:
+		return 0, true, nil
+	default:
+		return 0, false, err
+	}
+}
+
+// WriteMore is Write for a caller that has more output queued behind
+// buf on the same socket: the bytes are sent with MSG_MORE, so the
+// kernel coalesces them with the write that follows instead of pushing
+// a short segment (and waking the peer) per call. Results mean exactly
+// what Write's do. The caller must follow with a plain Write, a
+// sendfile, or a close — or have write interest armed, so the loop
+// comes back to do so.
+//
+//nio:hot
+func WriteMore(lane sysfault.Lane, fd int, buf []byte) (n int, again bool, err error) {
+	n, err = sysfault.WriteMore(lane, fd, buf)
 	switch err {
 	case nil:
 		return n, false, nil

@@ -5,6 +5,7 @@ package reactor
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"syscall"
 	"testing"
 	"time"
@@ -372,5 +373,29 @@ func TestWriteToClosedPeer(t *testing.T) {
 	}
 	if lastErr != syscall.EPIPE && lastErr != syscall.ECONNRESET {
 		t.Logf("note: got %v (acceptable on some kernels)", lastErr)
+	}
+}
+
+// A loop that spins through Wait without ever parking in Go terms must
+// still pass through the scheduler about once per yieldEvery (see there
+// for what happens when it does not): no more often, because a yield is
+// not free, and no less, because sysmon's patience is 10 ms.
+func TestWaitYieldsAtItsCadence(t *testing.T) {
+	p := newPoller(t)
+	yields := 0
+	yield = func() { yields++; runtime.Gosched() }
+	defer func() { yield = runtime.Gosched }()
+	const window = 100 * time.Millisecond
+	start := time.Now()
+	waits := 0
+	for time.Since(start) < window {
+		if _, err := p.Wait(0); err != nil {
+			t.Fatal(err)
+		}
+		waits++
+	}
+	due := int(time.Since(start) / yieldEvery)
+	if yields < due/4 || yields > due+1 { // a quarter: the test process may itself be descheduled
+		t.Fatalf("%d yields in %d Waits over %d yield periods, want one per period", yields, waits, due)
 	}
 }

@@ -1,12 +1,13 @@
 //go:build linux
 
 // Package sysfault is a seeded fault-injecting seam over the raw
-// syscalls the servers depend on: accept4, read, write, sendfile,
-// epoll_wait, socket, connect, close. Production code calls the
-// wrappers in this package instead of the syscall package directly;
-// with no injector installed every wrapper is a nil-pointer check away
-// from the real syscall (zero allocations, no locks), and with an
-// injector installed every injection decision is a pure function of
+// syscalls the servers depend on: accept4, read, write (and its
+// MSG_MORE spelling, sendto), sendfile, epoll_wait, socket, connect,
+// close. Production code calls the wrappers in this package instead of
+// the syscall package directly; with no injector installed every
+// wrapper is a nil-pointer check away from the real syscall (zero
+// allocations, no locks), and with an injector installed every
+// injection decision is a pure function of
 //
 //	(Seed, site, lane, per-(site,lane) call index)
 //
@@ -41,6 +42,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
+	"unsafe"
 )
 
 // Site identifies one syscall chokepoint class.
@@ -366,19 +368,33 @@ func Read(lane Lane, fd int, p []byte) (int, error) {
 	}
 }
 
+// injectWrite claims one SiteWrite index on lane and applies the
+// decision: an injected errno is returned (the caller skips the
+// syscall), a short injection truncates p. Write and WriteMore share
+// it, so the two consume one (site, lane, index) stream with identical
+// semantics — which wrapper a call site picks can never shift a seeded
+// schedule.
+func (inj *Injector) injectWrite(lane Lane, p []byte) ([]byte, syscall.Errno) {
+	if oc := inj.decide(SiteWrite, lane); oc.fire {
+		if oc.errno != 0 {
+			return p, oc.errno
+		}
+		if oc.len < len(p) {
+			p = p[:oc.len]
+		}
+	}
+	return p, 0
+}
+
 // Write writes p. An injected errno (ENOBUFS, ECONNRESET, EPIPE, ...)
 // is returned without writing; a short injection truncates p so the
 // kernel really does deliver only the prefix — callers must already
 // cope with partial writes, which is exactly what the injection tests.
 func Write(lane Lane, fd int, p []byte) (int, error) {
 	if inj := current.Load(); inj != nil {
-		if oc := inj.decide(SiteWrite, lane); oc.fire {
-			if oc.errno != 0 {
-				return 0, oc.errno
-			}
-			if oc.len < len(p) {
-				p = p[:oc.len]
-			}
+		var errno syscall.Errno
+		if p, errno = inj.injectWrite(lane, p); errno != 0 {
+			return 0, errno
 		}
 	}
 	for {
@@ -387,6 +403,43 @@ func Write(lane Lane, fd int, p []byte) (int, error) {
 			continue
 		}
 		return n, err
+	}
+}
+
+// WriteMore is Write for a socket when the caller already has more
+// output queued behind p: the bytes go out with MSG_MORE, so TCP holds
+// a trailing partial segment for the write that follows instead of
+// pushing it (and waking the reader) now. It is a call at the SAME
+// SiteWrite site as Write — one index per call, errno injected before
+// the syscall, short injection truncating p, EINTR absorbed — so
+// swapping one for the other leaves every seeded decision stream
+// untouched. The caller owes the socket a following unflagged write
+// (or a close); the kernel flushes an abandoned cork only after 200 ms.
+func WriteMore(lane Lane, fd int, p []byte) (int, error) {
+	if inj := current.Load(); inj != nil {
+		var errno syscall.Errno
+		if p, errno = inj.injectWrite(lane, p); errno != 0 {
+			return 0, errno
+		}
+	}
+	// syscall.Sendto drops the byte count, so the call is spelled raw.
+	// A nil base is fine for len 0; MSG_NOSIGNAL matches what the Go
+	// runtime already arranges for write(2) on a socket (EPIPE, no
+	// SIGPIPE).
+	var base unsafe.Pointer
+	if len(p) > 0 {
+		base = unsafe.Pointer(&p[0])
+	}
+	for {
+		n, _, errno := syscall.Syscall6(syscall.SYS_SENDTO, uintptr(fd), uintptr(base), uintptr(len(p)),
+			syscall.MSG_MORE|syscall.MSG_NOSIGNAL, 0, 0)
+		if errno == syscall.EINTR {
+			continue
+		}
+		if errno != 0 {
+			return 0, errno
+		}
+		return int(n), nil
 	}
 }
 

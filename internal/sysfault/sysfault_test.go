@@ -3,6 +3,8 @@
 package sysfault
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -229,6 +231,84 @@ func TestDecisionLogMatchesLiveWrappers(t *testing.T) {
 		if lg[i] != og[i] {
 			t.Fatalf("decision %d: live %v vs offline %v", i, lg[i], og[i])
 		}
+	}
+}
+
+// WriteMore is the same site as Write, not a new one: a call sequence
+// that mixes the two must consume one (site, lane, index) stream —
+// every call, whichever spelling, takes exactly the decision an offline
+// StepLane replay predicts for its lane and position, and applies it
+// the same way (errno before the syscall, short truncating the buffer).
+// This is what lets a call site switch spellings without shifting any
+// seeded schedule.
+func TestWriteMoreSharesWriteStream(t *testing.T) {
+	plan := MustParsePlan("write:short:0.2:len=3; write:enobufs:0.15")
+	live := New(33, plan...)
+	Install(live)
+	defer Uninstall()
+	offline := New(33, plan...)
+
+	a, b := socketpair(t)
+	msg := []byte("0123456789")
+	var want []byte
+	var shorts, errnos, moreCalls int
+	for i := 0; i < 120; i++ {
+		lane := Lane(i % 2)
+		more := i%3 != 0 // out of step with the lane alternation
+		wr := Write
+		if more {
+			wr = WriteMore
+			moreCalls++
+		}
+		n, err := wr(lane, a, msg)
+		d, fired := offline.StepLane(SiteWrite, lane)
+		switch {
+		case fired && d.Errno != 0:
+			errnos++
+			if err != d.Errno || n != 0 {
+				t.Fatalf("call %d (more=%v): got %d, %v; replay says %v", i, more, n, err, d)
+			}
+		case fired:
+			shorts++
+			if err != nil || n != d.Len {
+				t.Fatalf("call %d (more=%v): got %d, %v; replay says %v", i, more, n, err, d)
+			}
+		default:
+			if err != nil || n != len(msg) {
+				t.Fatalf("call %d (more=%v): got %d, %v; replay says no injection", i, more, n, err)
+			}
+		}
+		want = append(want, msg[:n]...)
+	}
+	if shorts == 0 || errnos == 0 || moreCalls == 0 {
+		t.Fatalf("vacuous: %d shorts, %d errnos, %d WriteMore calls", shorts, errnos, moreCalls)
+	}
+	for lane := Lane(0); lane < 2; lane++ {
+		if lg, og := laneDecisions(live, lane), laneDecisions(offline, lane); !reflect.DeepEqual(lg, og) {
+			t.Fatalf("lane %d: live %v vs offline %v", lane, lg, og)
+		}
+		if ls, os := live.LaneStats(lane), offline.LaneStats(lane); ls != os {
+			t.Fatalf("lane %d accounting: live %+v vs offline %+v", lane, ls, os)
+		}
+	}
+	if st := live.Stats(); st[SiteWrite].Calls != 120 {
+		t.Fatalf("write site saw %d calls, want 120: WriteMore must count at SiteWrite and nowhere else (%+v)",
+			st[SiteWrite].Calls, st)
+	}
+
+	// Exactly the accepted prefixes reached the peer, in order.
+	Uninstall()
+	got := make([]byte, 0, len(want))
+	buf := make([]byte, 4096)
+	for len(got) < len(want) {
+		n, err := Read(0, b, buf)
+		if err != nil || n == 0 {
+			t.Fatalf("peer read after %d of %d bytes: %d, %v", len(got), len(want), n, err)
+		}
+		got = append(got, buf[:n]...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("peer saw %d bytes that differ from the %d accepted", len(got), len(want))
 	}
 }
 

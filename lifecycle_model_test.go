@@ -125,6 +125,18 @@ func lifecycleConformance(t *testing.T, mutate func(*core.Config)) {
 		c.SetDeadline(time.Now().Add(10 * time.Second))
 		return c
 	}
+	awaitConnsOpen := func(n int64, what string) {
+		t.Helper()
+		waitUntil(t, 5*time.Second, func() bool { return srv.Stats().ConnsOpen == n }, what)
+	}
+	// fresh dials once the server holds no connection. The server learns
+	// of a client's close asynchronously, and with MaxConns = 2 a scenario
+	// dialed while two earlier closes are still pending would be shed.
+	fresh := func() net.Conn {
+		t.Helper()
+		awaitConnsOpen(0, "earlier scenarios' connections to close")
+		return dial()
+	}
 	request := func(path, connection string) string {
 		return fmt.Sprintf("GET %s HTTP/1.1\r\nHost: sut\r\nConnection: %s\r\n\r\n", path, connection)
 	}
@@ -143,7 +155,7 @@ func lifecycleConformance(t *testing.T, mutate func(*core.Config)) {
 
 	// Scenario 1 — plain: one request, server-initiated close.
 	// Modeled: accept qw hr parse handler fb wc close.
-	c := dial()
+	c := fresh()
 	io.WriteString(c, request("/a.txt", "close"))
 	readResp(bufio.NewReader(c), 200)
 	c.Close()
@@ -151,7 +163,7 @@ func lifecycleConformance(t *testing.T, mutate func(*core.Config)) {
 	// Scenario 2 — keep-alive: two sequential requests, client close.
 	// Covers wc->hr (the keepalive loop) and handler->wc (second
 	// response on an already-observed connection).
-	c = dial()
+	c = fresh()
 	br := bufio.NewReader(c)
 	io.WriteString(c, request("/a.txt", "keep-alive"))
 	readResp(br, 200)
@@ -161,7 +173,7 @@ func lifecycleConformance(t *testing.T, mutate func(*core.Config)) {
 
 	// Scenario 3 — pipelined: two requests in one write. Covers
 	// handler->parse (back-to-back serves inside one read batch).
-	c = dial()
+	c = fresh()
 	br = bufio.NewReader(c)
 	io.WriteString(c, request("/a.txt", "keep-alive")+request("/b.txt", "keep-alive"))
 	readResp(br, 200)
@@ -170,25 +182,25 @@ func lifecycleConformance(t *testing.T, mutate func(*core.Config)) {
 
 	// Scenario 4 — unparseable bytes: the 400 goes out with no parse
 	// event. Covers hr->fb and fb->close.
-	c = dial()
+	c = fresh()
 	io.WriteString(c, "\x00\x01 utterly not http\r\n\r\n")
 	readResp(bufio.NewReader(c), 400)
 	c.Close()
 
 	// Scenario 5 — no request at all: connect, close. Covers qw->close.
-	c = dial()
+	c = fresh()
 	c.Close()
 
 	// Scenario 6 — partial header then close: first bytes arrive but no
 	// complete request ever does. Covers hr->close.
-	c = dial()
+	c = fresh()
 	io.WriteString(c, "GET /a.txt HT")
 	time.Sleep(50 * time.Millisecond) // let the shard record the header read
 	c.Close()
 
 	// Scenario 7 — panic on the first request: the isolated 500 is the
 	// connection's first response. Covers parse->panic and panic->fb.
-	c = dial()
+	c = fresh()
 	io.WriteString(c, request("/panic", "keep-alive"))
 	readResp(bufio.NewReader(c), 500)
 	c.Close()
@@ -196,7 +208,7 @@ func lifecycleConformance(t *testing.T, mutate func(*core.Config)) {
 	// Scenario 8 — keep-alive then a lone panic: the 500 batch has no
 	// completed serve and first-byte is already recorded, so the panic
 	// goes straight to close. Covers panic->close.
-	c = dial()
+	c = fresh()
 	br = bufio.NewReader(c)
 	io.WriteString(c, request("/a.txt", "keep-alive"))
 	readResp(br, 200)
@@ -207,7 +219,7 @@ func lifecycleConformance(t *testing.T, mutate func(*core.Config)) {
 	// Scenario 9 — keep-alive then pipelined good+panic: the panic
 	// batch contains a completed serve, so its flush records a write
 	// completion. Covers panic->wc.
-	c = dial()
+	c = fresh()
 	br = bufio.NewReader(c)
 	io.WriteString(c, request("/a.txt", "keep-alive"))
 	readResp(br, 200)
@@ -219,14 +231,8 @@ func lifecycleConformance(t *testing.T, mutate func(*core.Config)) {
 	// Scenario 10 — shed: fill MaxConns with two held connections, then
 	// require further arrivals to be refused with a 503 and a conn-0
 	// shed event that never enters the lifecycle.
-	holdA, holdB := dial(), dial()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Stats().ConnsOpen < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("held connections not adopted: %+v", srv.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	holdA, holdB := fresh(), dial()
+	awaitConnsOpen(2, "the two held connections to be adopted")
 	for i := 0; i < 3; i++ {
 		sc := dial()
 		io.WriteString(sc, request("/a.txt", "close"))
@@ -243,7 +249,7 @@ func lifecycleConformance(t *testing.T, mutate func(*core.Config)) {
 	// verdict is read — 11 connections entered the lifecycle (the shed
 	// ones never do).
 	const wantConns = 11
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		closed := make(map[uint64]bool)
 		for _, ev := range plane.Ring().Events() {

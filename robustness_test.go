@@ -31,6 +31,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -123,6 +124,21 @@ func measureGoodput(t *testing.T, addr string, clients int, window time.Duration
 	close(stop)
 	wg.Wait()
 	return float64(replies.Load()) / window.Seconds()
+}
+
+// medianGoodput is the median of n back-to-back measureGoodput windows.
+// A ratio of two single windows is a ratio of two noisy numbers: on a
+// busy machine one lucky baseline window reads as a collapse. A real
+// collapse (the thread pool's is 5x or more) moves the median just the
+// same.
+func medianGoodput(t *testing.T, addr string, clients int, window time.Duration, n int) float64 {
+	t.Helper()
+	rates := make([]float64, n)
+	for i := range rates {
+		rates[i] = measureGoodput(t, addr, clients, window)
+	}
+	sort.Float64s(rates)
+	return rates[n/2]
 }
 
 // slowlorisHerd aims `conns` persistent slow-read attackers at upstream
@@ -231,7 +247,7 @@ func TestSlowlorisRepelledByHeaderTimeout(t *testing.T) {
 	}
 	defer srv.Stop()
 
-	baseline := measureGoodput(t, srv.Addr(), 4, 700*time.Millisecond)
+	baseline := medianGoodput(t, srv.Addr(), 4, 500*time.Millisecond, 3)
 	if baseline < 50 {
 		t.Fatalf("implausible loopback baseline %.0f replies/s", baseline)
 	}
@@ -252,7 +268,7 @@ func TestSlowlorisRepelledByHeaderTimeout(t *testing.T) {
 		t.Fatalf("header sweeper never engaged: %+v", st)
 	}
 
-	attacked := measureGoodput(t, srv.Addr(), 4, 700*time.Millisecond)
+	attacked := medianGoodput(t, srv.Addr(), 4, 500*time.Millisecond, 3)
 	if attacked < baseline*0.8 {
 		t.Fatalf("event-driven goodput collapsed under slowloris: %.0f replies/s attacked vs %.0f baseline",
 			attacked, baseline)
