@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test test-full race bench bench-selfcheck bench-go bench-json bench-check figures figures-fast demo-overload obs-demo chaos chaos-demo proxy-demo proxy-test sysfault sysfault-demo lint invariants verify clean
+.PHONY: all build test test-full race fuzz bench bench-selfcheck bench-go bench-json bench-check figures figures-fast demo-overload obs-demo chaos chaos-demo proxy-demo proxy-test sysfault sysfault-demo lint invariants verify clean
 
 all: build test
 
@@ -19,6 +19,13 @@ test-full:
 # Unit tests under the race detector (what CI runs).
 race:
 	go test -race -short ./...
+
+# The wire parsers against their two oracles (httpwire/oracle_test.go):
+# fragmentation invariance and the net/http differential, 30 s each.
+fuzz:
+	for f in FuzzRequestFragmentation FuzzResponseFragmentation FuzzRequestDifferential FuzzResponseDifferential; do \
+		go test ./internal/httpwire -run '^$$' -fuzz "^$$f\$$" -fuzztime 30s -fuzzminimizetime 5s || exit 1; \
+	done
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): builds
 # the three server binaries, runs the seven live workloads against them

@@ -28,7 +28,9 @@ const (
 	MaxBodyBytes = 1 << 20
 )
 
-// Request is one parsed HTTP request.
+// Request is one parsed HTTP request. It owns its memory: every string in
+// it is a substring of one head string made when the request completed,
+// so it stays valid whatever the caller does with its read buffer next.
 type Request struct {
 	Method  string
 	Path    string
@@ -37,7 +39,16 @@ type Request struct {
 	// KeepAlive reports whether the connection should persist after the
 	// response, per the HTTP/1.0 and 1.1 rules.
 	KeepAlive bool
+
+	inline [inlineRequestHeaders]Header // Headers' array while it fits
 }
+
+// inlineRequestHeaders is Request's share of the rule in scan.go. What
+// this tier's own clients and proxy send carries 1 to 3 fields, and a
+// batch of pipelined requests is that many structs at once: at 8, the
+// struct's size class read +2.6 % of server RSS on bench's nio_pipelined
+// (10 of 10 pairs); at 4 it reads the parent's figure.
+const inlineRequestHeaders = 4
 
 // Header is a single header field.
 type Header struct {
@@ -91,6 +102,32 @@ func parseErr(format string, args ...any) error {
 	return &ParseError{Reason: fmt.Sprintf(format, args...)}
 }
 
+const (
+	proto10 = "HTTP/1.0"
+	proto11 = "HTTP/1.1"
+)
+
+// protoOf returns the protocol constant b spells, "" if neither.
+//
+//nio:hot
+func protoOf(b []byte) string {
+	if len(b) != len(proto11) {
+		return ""
+	}
+	for i := 0; i < len(proto11)-1; i++ {
+		if b[i] != proto11[i] {
+			return ""
+		}
+	}
+	switch b[len(b)-1] {
+	case '1':
+		return proto11
+	case '0':
+		return proto10
+	}
+	return ""
+}
+
 // parserState is the incremental parser's position in the grammar.
 type parserState int
 
@@ -101,12 +138,19 @@ const (
 )
 
 // Parser converts a byte stream into requests. Feed it whatever the
-// socket produced; it buffers partial lines internally. Not safe for
-// concurrent use — each connection owns one parser.
+// socket produced; it scans the bytes where they are and keeps its own
+// copy only of a head that spans Feed calls. Not safe for concurrent use
+// — each connection owns one parser.
 type Parser struct {
-	state    parserState
-	buf      []byte
-	cur      Request
+	state parserState
+	scan  lineScanner
+	// The request line of the head being scanned: the offsets of its two
+	// spaces, and its protocol.
+	sp1, sp2 int
+	proto    string
+	// clMark is 1 + the index in scan.marks of the head's Content-Length
+	// field, 0 while it has none.
+	clMark   int
 	bodyLeft int64
 	// counters for diagnostics
 	parsed int64
@@ -116,8 +160,7 @@ type Parser struct {
 // capacity (connection reuse in a pool).
 func (p *Parser) Reset() {
 	p.state = stRequestLine
-	p.buf = p.buf[:0]
-	p.cur = Request{}
+	p.scan.release()
 	p.bodyLeft = 0
 }
 
@@ -128,117 +171,62 @@ func (p *Parser) Parsed() int64 { return p.parsed }
 // (buffered bytes or mid-grammar state). This is the condition a
 // header-read timeout guards: a peer that opened a request but never
 // finishes it is pinning parser buffers.
-func (p *Parser) Pending() bool { return len(p.buf) > 0 || p.state != stRequestLine }
+func (p *Parser) Pending() bool { return len(p.scan.buf) > 0 || p.state != stRequestLine }
 
 // Feed consumes data and appends any completed requests to dst, returning
 // the extended slice. A non-nil error means the stream is unrecoverable
-// (the connection should be answered with 400 and closed).
+// (the connection should be answered with 400 and closed). The requests
+// do not alias data.
 //
 //nio:hot
 func (p *Parser) Feed(dst []*Request, data []byte) ([]*Request, error) {
-	p.buf = append(p.buf, data...)
+	pos, hs := 0, 0 // next unread byte of data; where the current head starts in it
 	for {
-		switch p.state {
-		case stBody:
-			n := int64(len(p.buf))
-			if n >= p.bodyLeft {
-				p.buf = p.buf[p.bodyLeft:]
-				p.bodyLeft = 0
-				p.state = stRequestLine
-				continue
-			}
-			p.bodyLeft -= n
-			p.buf = p.buf[:0]
-			return dst, nil
-		default:
-			line, rest, ok := cutLine(p.buf)
-			if !ok {
-				if len(p.buf) > MaxLineBytes {
-					return dst, parseErr("line exceeds %d bytes", MaxLineBytes)
-				}
+		if p.state == stBody {
+			n := int64(len(data) - pos)
+			if n < p.bodyLeft {
+				p.bodyLeft -= n
 				return dst, nil
 			}
-			p.buf = rest
-			done, err := p.consumeLine(line)
-			if err != nil {
+			pos += int(p.bodyLeft)
+			p.bodyLeft = 0
+			p.state = stRequestLine
+		}
+		if p.state == stRequestLine {
+			hs = pos
+		}
+		line, off, ok := p.scan.next(data, &pos, hs)
+		if len(line) > MaxLineBytes {
+			return dst, parseErr("line exceeds %d bytes", MaxLineBytes)
+		}
+		if !ok {
+			return dst, nil
+		}
+		switch {
+		case p.state == stRequestLine:
+			if len(line) == 0 {
+				p.scan.release() // tolerate leading blank lines (RFC 9112 §2.2)
+				continue
+			}
+			if err := p.requestLine(line); err != nil {
 				return dst, err
 			}
-			if done {
-				req := p.cur
-				p.cur = Request{}
-				p.parsed++
-				dst = append(dst, &req)
+		case len(line) != 0:
+			if err := p.headerLine(line, off, p.scan.head(data, hs, off)); err != nil {
+				return dst, err
 			}
+		default:
+			dst = append(dst, p.finish(p.scan.head(data, hs, off)))
+			p.scan.release()
 		}
 	}
 }
 
-// cutLine splits buf at the first LF, trimming an optional CR. ok is
-// false when no complete line is buffered yet.
+// requestLine checks the request line, which starts its head, and
+// records where its three tokens sit.
 //
 //nio:hot
-func cutLine(buf []byte) (line, rest []byte, ok bool) {
-	i := bytes.IndexByte(buf, '\n')
-	if i < 0 {
-		return nil, buf, false
-	}
-	line = buf[:i]
-	if len(line) > 0 && line[len(line)-1] == '\r' {
-		line = line[:len(line)-1]
-	}
-	return line, buf[i+1:], true
-}
-
-// consumeLine advances the state machine by one line; done reports a
-// completed request.
-//
-//nio:hot
-func (p *Parser) consumeLine(line []byte) (done bool, err error) {
-	if len(line) > MaxLineBytes {
-		return false, parseErr("line exceeds %d bytes", MaxLineBytes)
-	}
-	switch p.state {
-	case stRequestLine:
-		if len(line) == 0 {
-			return false, nil // tolerate leading blank lines (RFC 9112 §2.2)
-		}
-		if err := parseRequestLine(line, &p.cur); err != nil {
-			return false, err
-		}
-		p.state = stHeaders
-		return false, nil
-	case stHeaders:
-		if len(line) == 0 {
-			p.finishHeaders()
-			if p.bodyLeft > 0 {
-				p.state = stBody
-			} else {
-				p.state = stRequestLine
-			}
-			return true, nil
-		}
-		if len(p.cur.Headers) >= MaxHeaderCount {
-			return false, parseErr("more than %d headers", MaxHeaderCount)
-		}
-		name, value, err := parseHeaderLine(line)
-		if err != nil {
-			return false, err
-		}
-		p.cur.Headers = append(p.cur.Headers, Header{Name: name, Value: value})
-		if equalFold(name, "Content-Length") {
-			n, err := strconv.ParseInt(value, 10, 64)
-			if err != nil || n < 0 || n > MaxBodyBytes {
-				return false, parseErr("bad Content-Length %q", value)
-			}
-			p.bodyLeft = n
-		}
-		return false, nil
-	default:
-		return false, parseErr("internal: consumeLine in body state")
-	}
-}
-
-func parseRequestLine(line []byte, req *Request) error {
+func (p *Parser) requestLine(line []byte) error {
 	sp1 := bytes.IndexByte(line, ' ')
 	if sp1 <= 0 {
 		return parseErr("malformed request line %q", line)
@@ -248,47 +236,78 @@ func parseRequestLine(line []byte, req *Request) error {
 		return parseErr("malformed request line %q", line)
 	}
 	sp2 += sp1 + 1
-	req.Method = string(line[:sp1])
-	req.Path = string(line[sp1+1 : sp2])
-	req.Proto = string(line[sp2+1:])
-	switch req.Proto {
-	case "HTTP/1.1", "HTTP/1.0":
-	default:
-		return parseErr("unsupported protocol %q", req.Proto)
+	if p.proto = protoOf(line[sp2+1:]); p.proto == "" {
+		return parseErr("unsupported protocol %q", line[sp2+1:])
 	}
-	if len(req.Path) == 0 || req.Path[0] != '/' && req.Path != "*" {
-		return parseErr("bad request target %q", req.Path)
+	if target := line[sp1+1 : sp2]; target[0] != '/' && (len(target) != 1 || target[0] != '*') {
+		return parseErr("bad request target %q", target)
+	}
+	p.sp1, p.sp2 = sp1, sp2
+	p.clMark, p.bodyLeft = 0, 0
+	p.scan.beginHead()
+	p.state = stHeaders
+	return nil
+}
+
+// headerLine checks one header line at offset off of the head, whose
+// bytes so far are head. The two fields that decide where the request
+// ends are settled here, while a disagreement can still be refused.
+//
+//nio:hot
+func (p *Parser) headerLine(line []byte, off int, head []byte) error {
+	name, value, err := p.scan.field(line, off)
+	if err != nil {
+		return err
+	}
+	switch {
+	case nameIs(name, "content-length"):
+		n, ok := parseLength(value, MaxBodyBytes)
+		if !ok {
+			return parseErr("bad Content-Length %q", value)
+		}
+		if p.clMark != 0 {
+			// A second Content-Length is legal only as a repetition of the
+			// first (RFC 9112 §6.3): two parsers on one path that each
+			// pick a different one disagree about where the request ends.
+			if m := p.scan.marks[p.clMark-1]; !bytes.Equal(head[m.val:m.end], value) {
+				return parseErr("conflicting Content-Length %q", value)
+			}
+		}
+		p.clMark = len(p.scan.marks)
+		p.bodyLeft = n
+	case nameIs(name, "transfer-encoding"):
+		// Request bodies are skipped by Content-Length only. Accepting a
+		// coding we do not decode would parse its body as the next
+		// request, and the proxy would forward it without the header.
+		return parseErr("Transfer-Encoding %q in a request is not supported", value)
 	}
 	return nil
 }
 
-func parseHeaderLine(line []byte) (name, value string, err error) {
-	i := bytes.IndexByte(line, ':')
-	if i <= 0 {
-		return "", "", parseErr("malformed header %q", line)
-	}
-	name = string(line[:i])
-	v := line[i+1:]
-	for len(v) > 0 && (v[0] == ' ' || v[0] == '\t') {
-		v = v[1:]
-	}
-	for len(v) > 0 && (v[len(v)-1] == ' ' || v[len(v)-1] == '\t') {
-		v = v[:len(v)-1]
-	}
-	return name, string(v), nil
-}
-
-// finishHeaders resolves keep-alive per the protocol rules.
+// finish turns the scanned head into the request it describes: one
+// string, one struct, everything else a substring.
 //
 //nio:hot
-func (p *Parser) finishHeaders() {
-	conn, _ := p.cur.Get("Connection")
-	switch p.cur.Proto {
-	case "HTTP/1.1":
-		p.cur.KeepAlive = !equalFold(conn, "close")
-	default: // HTTP/1.0
-		p.cur.KeepAlive = equalFold(conn, "keep-alive")
+func (p *Parser) finish(head []byte) *Request {
+	s := string(head)   //nio:ok hotalloc -- one string per head
+	req := new(Request) //nio:ok hotalloc -- one struct per message
+	req.Method = s[:p.sp1]
+	req.Path = s[p.sp1+1 : p.sp2]
+	req.Proto = p.proto
+	req.Headers = p.scan.cutHeaders(req.inline[:0], s)
+	conn, _ := req.Get("Connection")
+	if req.Proto == proto11 {
+		req.KeepAlive = !equalFold(conn, "close")
+	} else {
+		req.KeepAlive = equalFold(conn, "keep-alive")
 	}
+	p.parsed++
+	if p.bodyLeft > 0 {
+		p.state = stBody
+	} else {
+		p.state = stRequestLine
+	}
+	return req
 }
 
 // ---------------------------------------------------------------------

@@ -42,7 +42,14 @@ func hopByHop(name string) bool {
 // X-Forwarded-For values are preserved and appended to, comma-separated,
 // so a chain of proxies accumulates provenance in order.
 func ForwardHeaders(req *Request, via, clientAddr string) []Header {
-	out := make([]Header, 0, len(req.Headers)+2)
+	return AppendForwardHeaders(make([]Header, 0, len(req.Headers)+2), req, via, clientAddr)
+}
+
+// AppendForwardHeaders is ForwardHeaders into the caller's slice: the
+// relay loop builds every forwarded header set in one scratch array.
+//
+//nio:hot
+func AppendForwardHeaders(out []Header, req *Request, via, clientAddr string) []Header {
 	var prevVia, prevXFF string
 	for _, h := range req.Headers {
 		if hopByHop(h.Name) {

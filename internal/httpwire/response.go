@@ -13,7 +13,8 @@ import (
 
 // Response is one parsed response head plus body accounting. The body is
 // not retained — the load generator only needs its length — but every
-// body byte must be fed through the parser for framing.
+// body byte must be fed through the parser for framing. Like a Request
+// it owns one head string and aliases nothing of the caller's.
 type Response struct {
 	Proto      string
 	StatusCode int
@@ -26,6 +27,8 @@ type Response struct {
 	KeepAlive bool
 	// Chunked reports Transfer-Encoding: chunked framing.
 	Chunked bool
+
+	inline [inlineHeaders]Header // Headers' array while it fits
 }
 
 // Get returns the first header with the given case-insensitive name.
@@ -49,14 +52,21 @@ const (
 	rsChunkData
 	rsChunkCRLF
 	rsTrailer
-	rsDone
 )
 
 // RespParser converts a response byte stream into Responses. Feed it
-// whatever the socket produced. Not safe for concurrent use.
+// whatever the socket produced: heads and framing lines are scanned
+// where they are, and body bytes are only counted — the parser's own
+// buffer never holds more than a head that spans Feed calls. Not safe
+// for concurrent use.
 type RespParser struct {
-	state    respState
-	buf      []byte
+	state respState
+	scan  lineScanner
+	// The status line of the head being scanned.
+	proto string
+	code  int
+	// cur is the response whose body is being framed (nil up to the end
+	// of its head).
 	cur      *Response
 	bodyLeft int64
 	parsed   int64
@@ -65,7 +75,7 @@ type RespParser struct {
 // Reset clears parser state for connection reuse.
 func (p *RespParser) Reset() {
 	p.state = rsStatusLine
-	p.buf = p.buf[:0]
+	p.scan.release()
 	p.cur = nil
 	p.bodyLeft = 0
 }
@@ -75,65 +85,58 @@ func (p *RespParser) Parsed() int64 { return p.parsed }
 
 // Feed consumes data and appends completed responses to dst. Responses
 // appear once fully framed (headers + body consumed). A non-nil error is
-// unrecoverable for the connection.
+// unrecoverable for the connection. The responses do not alias data.
+//
+//nio:hot
 func (p *RespParser) Feed(dst []*Response, data []byte) ([]*Response, error) {
-	p.buf = append(p.buf, data...)
+	pos, hs := 0, 0 // next unread byte of data; where the current head or framing line starts in it
 	for {
 		switch p.state {
-		case rsStatusLine, rsHeaders, rsChunkSize, rsChunkCRLF, rsTrailer:
-			line, rest, ok := cutLine(p.buf)
-			if !ok {
-				if len(p.buf) > MaxLineBytes {
-					return dst, parseErr("response line exceeds %d bytes", MaxLineBytes)
+		case rsBody, rsChunkData:
+			n := int64(len(data) - pos)
+			if p.bodyLeft < 0 || n < p.bodyLeft { // a read-to-EOF body consumes everything
+				p.cur.BodyBytes += n
+				if p.bodyLeft > 0 {
+					p.bodyLeft -= n
 				}
 				return dst, nil
 			}
-			p.buf = rest
-			done, err := p.consumeLine(line)
+			p.cur.BodyBytes += p.bodyLeft
+			pos += int(p.bodyLeft)
+			p.bodyLeft = 0
+			if p.state == rsChunkData {
+				p.state = rsChunkCRLF
+			} else {
+				dst = append(dst, p.finish())
+			}
+		default:
+			if p.state != rsHeaders {
+				hs = pos
+			}
+			line, off, ok := p.scan.next(data, &pos, hs)
+			if len(line) > MaxLineBytes {
+				return dst, parseErr("response line exceeds %d bytes", MaxLineBytes)
+			}
+			if !ok {
+				return dst, nil
+			}
+			done, err := p.consumeLine(line, off, data, hs)
 			if err != nil {
 				return dst, err
 			}
 			if done {
 				dst = append(dst, p.finish())
 			}
-		case rsBody:
-			if p.bodyLeft < 0 { // read-to-EOF body: consume everything
-				p.cur.BodyBytes += int64(len(p.buf))
-				p.buf = p.buf[:0]
-				return dst, nil
+			if p.state != rsHeaders {
+				p.scan.release()
 			}
-			n := int64(len(p.buf))
-			if n >= p.bodyLeft {
-				p.cur.BodyBytes += p.bodyLeft
-				p.buf = p.buf[p.bodyLeft:]
-				p.bodyLeft = 0
-				dst = append(dst, p.finish())
-				continue
-			}
-			p.cur.BodyBytes += n
-			p.bodyLeft -= n
-			p.buf = p.buf[:0]
-			return dst, nil
-		case rsChunkData:
-			n := int64(len(p.buf))
-			if n >= p.bodyLeft {
-				p.cur.BodyBytes += p.bodyLeft
-				p.buf = p.buf[p.bodyLeft:]
-				p.bodyLeft = 0
-				p.state = rsChunkCRLF
-				continue
-			}
-			p.cur.BodyBytes += n
-			p.bodyLeft -= n
-			p.buf = p.buf[:0]
-			return dst, nil
-		default:
-			return dst, parseErr("internal: bad response parser state %d", p.state)
 		}
 	}
 }
 
 // finish emits the current response and resets for the next one.
+//
+//nio:hot
 func (p *RespParser) finish() *Response {
 	resp := p.cur
 	p.cur = nil
@@ -142,40 +145,45 @@ func (p *RespParser) finish() *Response {
 	return resp
 }
 
-func (p *RespParser) consumeLine(line []byte) (done bool, err error) {
+// consumeLine advances the state machine by one line, found at offset
+// off of the head that starts at data[hs] (see lineScanner.next); done
+// reports a completed response.
+//
+//nio:hot
+func (p *RespParser) consumeLine(line []byte, off int, data []byte, hs int) (done bool, err error) {
 	switch p.state {
 	case rsStatusLine:
 		if len(line) == 0 {
 			return false, nil // tolerate stray CRLF between responses
 		}
-		resp, err := parseStatusLine(line)
-		if err != nil {
+		if err := p.statusLine(line); err != nil {
 			return false, err
 		}
-		p.cur = resp
+		p.scan.beginHead()
 		p.state = rsHeaders
 		return false, nil
 
 	case rsHeaders:
 		if len(line) != 0 {
-			if len(p.cur.Headers) >= MaxHeaderCount {
-				return false, parseErr("more than %d headers", MaxHeaderCount)
-			}
-			name, value, err := parseHeaderLine(line)
-			if err != nil {
-				return false, err
-			}
-			p.cur.Headers = append(p.cur.Headers, Header{Name: name, Value: value})
-			return false, nil
+			_, _, err := p.scan.field(line, off)
+			return false, err
 		}
-		// Blank line: resolve framing.
+		// Blank line: the head is complete. It becomes one string and one
+		// struct; then resolve framing.
+		s := string(p.scan.head(data, hs, off)) //nio:ok hotalloc -- one string per head
+		resp := new(Response)                   //nio:ok hotalloc -- one struct per message
+		resp.Proto, resp.StatusCode = p.proto, p.code
+		resp.Headers = p.scan.cutHeaders(resp.inline[:0], s)
+		p.cur = resp
 		p.resolveFraming()
 		switch {
+		case noBody(p.cur.StatusCode) || p.cur.ContentLength == 0 && !p.cur.Chunked:
+			// A 1xx, 204 or 304 ends at the blank line whatever its fields
+			// say (RFC 9112 §6.3 rule 1).
+			return true, nil
 		case p.cur.Chunked:
 			p.state = rsChunkSize
 			return false, nil
-		case p.cur.ContentLength == 0 || noBody(p.cur.StatusCode):
-			return true, nil
 		case p.cur.ContentLength > 0:
 			p.bodyLeft = p.cur.ContentLength
 			p.state = rsBody
@@ -218,26 +226,45 @@ func (p *RespParser) consumeLine(line []byte) (done bool, err error) {
 	}
 }
 
-// resolveFraming inspects the headers once they are complete.
+// resolveFraming inspects the headers once they are complete: the first
+// Content-Length, Transfer-Encoding and Connection fields decide, found
+// in one pass (the name's length tells almost every field apart).
+//
+//nio:hot
 func (p *RespParser) resolveFraming() {
-	p.cur.ContentLength = -1
-	if v, ok := p.cur.Get("Content-Length"); ok {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil && n >= 0 {
-			p.cur.ContentLength = n
+	r := p.cur
+	r.ContentLength = -1
+	var conn string
+	var sawLength, sawCoding, sawConn bool
+	for _, h := range r.Headers {
+		switch len(h.Name) {
+		case len("Content-Length"):
+			if !sawLength && equalFold(h.Name, "Content-Length") {
+				sawLength = true
+				if n, err := strconv.ParseInt(h.Value, 10, 64); err == nil && n >= 0 {
+					r.ContentLength = n
+				}
+			}
+		case len("Transfer-Encoding"):
+			if !sawCoding && equalFold(h.Name, "Transfer-Encoding") {
+				sawCoding = true
+				r.Chunked = equalFold(h.Value, "chunked")
+			}
+		case len("Connection"):
+			if !sawConn && equalFold(h.Name, "Connection") {
+				sawConn = true
+				conn = h.Value
+			}
 		}
 	}
-	if v, ok := p.cur.Get("Transfer-Encoding"); ok && equalFold(v, "chunked") {
-		p.cur.Chunked = true
-	}
-	conn, _ := p.cur.Get("Connection")
-	if p.cur.Proto == "HTTP/1.1" {
-		p.cur.KeepAlive = !equalFold(conn, "close")
+	if r.Proto == proto11 {
+		r.KeepAlive = !equalFold(conn, "close")
 	} else {
-		p.cur.KeepAlive = equalFold(conn, "keep-alive")
+		r.KeepAlive = equalFold(conn, "keep-alive")
 	}
 	// A read-to-EOF body forbids reuse regardless of headers.
-	if !p.cur.Chunked && p.cur.ContentLength < 0 && !noBody(p.cur.StatusCode) {
-		p.cur.KeepAlive = false
+	if !r.Chunked && r.ContentLength < 0 && !noBody(r.StatusCode) {
+		r.KeepAlive = false
 	}
 }
 
@@ -246,24 +273,34 @@ func noBody(code int) bool {
 	return code/100 == 1 || code == 204 || code == 304
 }
 
-func parseStatusLine(line []byte) (*Response, error) {
+// statusLine checks the status line, which starts its head, and keeps
+// its protocol and code for the response the head will become.
+//
+//nio:hot
+func (p *RespParser) statusLine(line []byte) error {
 	sp1 := bytes.IndexByte(line, ' ')
 	if sp1 <= 0 {
-		return nil, parseErr("malformed status line %q", line)
+		return parseErr("malformed status line %q", line)
 	}
-	proto := string(line[:sp1])
-	if proto != "HTTP/1.1" && proto != "HTTP/1.0" {
-		return nil, parseErr("unsupported protocol %q", proto)
+	if p.proto = protoOf(line[:sp1]); p.proto == "" {
+		return parseErr("unsupported protocol %q", line[:sp1])
 	}
 	rest := line[sp1+1:]
 	if len(rest) < 3 {
-		return nil, parseErr("malformed status line %q", line)
+		return parseErr("malformed status line %q", line)
 	}
-	code, err := strconv.Atoi(string(rest[:3]))
-	if err != nil || code < 100 || code > 599 {
-		return nil, parseErr("bad status code in %q", line)
+	code := 0
+	for _, c := range rest[:3] {
+		if c < '0' || c > '9' {
+			return parseErr("bad status code in %q", line)
+		}
+		code = code*10 + int(c-'0')
 	}
-	return &Response{Proto: proto, StatusCode: code}, nil
+	if code < 100 || code > 599 {
+		return parseErr("bad status code in %q", line)
+	}
+	p.code = code
+	return nil
 }
 
 func parseChunkSize(line []byte) (int64, error) {

@@ -45,6 +45,12 @@ func TestServeBasicGet(t *testing.T) {
 	if resp.StatusCode != 200 || string(body) != "hello world" {
 		t.Fatalf("status=%d body=%q", resp.StatusCode, body)
 	}
+	// The pool thread bumps the reply counter after the write that let
+	// the client finish reading: await it rather than race it.
+	deadline := time.Now().Add(2 * time.Second)
+	for s.Stats().Replies < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if st := s.Stats(); st.Replies < 1 || st.Accepted < 1 {
 		t.Fatalf("stats = %+v", st)
 	}

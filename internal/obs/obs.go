@@ -131,10 +131,6 @@ type Ring struct {
 	slots []slot
 	mask  uint64
 	next  atomic.Uint64
-	// skipped counts events dropped because their slot was still owned
-	// by a straggling writer when the ring lapped it (vanishingly rare:
-	// it needs a full ring wrap inside one writer's store sequence).
-	skipped atomic.Uint64
 }
 
 // NewRing returns a tracer retaining at least capacity events (rounded
@@ -159,8 +155,9 @@ func (r *Ring) Record(at time.Duration, conn uint64, k Kind, v time.Duration) {
 	seq := s.seq.Load()
 	if seq&1 != 0 || !s.seq.CompareAndSwap(seq, seq+1) {
 		// A lapped writer still owns the slot; drop rather than spin —
-		// the hot path never waits on the observability plane.
-		r.skipped.Add(1)
+		// the hot path never waits on the observability plane. The drop
+		// needs no count of its own: the event took a position like any
+		// other, and the one it failed to replace is still in the slot.
 		return
 	}
 	s.at.Store(int64(at))
@@ -179,14 +176,16 @@ func (r *Ring) Len() int {
 	return int(n)
 }
 
-// Dropped returns how many events were evicted or skipped.
+// Dropped returns how many recorded events are no longer retained: the
+// positions handed out past the ring's capacity. That covers an event
+// skipped on a contended slot too (it can only happen once the ring has
+// wrapped): counting skips on top would read retained + dropped above
+// the number of Record calls.
 func (r *Ring) Dropped() uint64 {
-	n := r.next.Load()
-	var evicted uint64
-	if c := uint64(len(r.slots)); n > c {
-		evicted = n - c
+	if n, c := r.next.Load(), uint64(len(r.slots)); n > c {
+		return n - c
 	}
-	return evicted + r.skipped.Load()
+	return 0
 }
 
 // Events returns the retained events, oldest first. Events recorded

@@ -241,6 +241,13 @@ type Server struct {
 	reqs []*httpwire.Request
 	//nio:loop-owned
 	resps []*httpwire.Response
+	// hdrs is the scratch every forwarded header set is built in, and
+	// freeRelays the finished relays (with their wire buffers) the next
+	// requests reuse: a steady keep-alive exchange allocates neither.
+	//nio:loop-owned
+	hdrs []httpwire.Header
+	//nio:loop-owned
+	freeRelays []*relay
 
 	accepted   counter
 	acceptEM   counter
@@ -301,14 +308,20 @@ func openReserve() int {
 //
 //nio:loop-owned
 type dconn struct {
-	fd      int
-	peer    string // client IP for X-Forwarded-For
-	parser  httpwire.Parser
-	pending []*relay // parsed requests not yet dispatched
-	active  *relay   // the relay currently owning the response stream
+	fd     int
+	peer   string // client IP for X-Forwarded-For
+	parser httpwire.Parser
+	// pending are the parsed requests not yet dispatched and out the
+	// bytes not yet written, oldest at pendHead and outHead. Both pop by
+	// index and rewind when they drain, so a keep-alive connection
+	// reuses the two arrays it started with.
+	pending  []*relay
+	pendHead int
+	active   *relay // the relay currently owning the response stream
 
 	out      [][]byte
-	outOff   int
+	outHead  int
+	outOff   int // bytes of out[outHead] already written
 	writeArm bool
 	closing  bool
 	// eof: the client finished sending (half-close) while still owed
@@ -366,6 +379,71 @@ type uconn struct {
 	gotBytes     bool // response bytes seen for the current relay
 	fresh        bool // never completed an exchange (failure = backend failure, not reuse race)
 	prewarm      bool // connecting on spec after re-admission; no relay bound yet
+}
+
+// idle reports whether d has nothing in flight: no relay active or
+// pending and no output queued.
+func (d *dconn) idle() bool {
+	return d.active == nil && len(d.pending) == 0 && len(d.out) == 0
+}
+
+// popPending removes and returns the oldest pending relay.
+//
+//nio:hot
+func (d *dconn) popPending() *relay {
+	r := d.pending[d.pendHead]
+	d.pending[d.pendHead] = nil
+	if d.pendHead++; d.pendHead == len(d.pending) {
+		d.pending, d.pendHead = d.pending[:0], 0
+	}
+	return r
+}
+
+// dropPending abandons every pending relay.
+func (d *dconn) dropPending() {
+	clear(d.pending)
+	d.pending, d.pendHead = d.pending[:0], 0
+}
+
+// popOut removes the fully written head of the output queue.
+//
+//nio:hot
+func (d *dconn) popOut() {
+	d.out[d.outHead] = nil
+	d.outOff = 0
+	if d.outHead++; d.outHead == len(d.out) {
+		d.out, d.outHead = d.out[:0], 0
+	}
+}
+
+// maxFreeRelays bounds the relay free list: what a burst of pipelined
+// requests left behind beyond it goes to the collector.
+const maxFreeRelays = 256
+
+// newRelay returns a zeroed relay, recycled when one is free; its wire
+// buffer keeps its capacity.
+//
+//nio:hot
+func (s *Server) newRelay() *relay {
+	if n := len(s.freeRelays); n > 0 {
+		r := s.freeRelays[n-1]
+		s.freeRelays[n-1] = nil
+		s.freeRelays = s.freeRelays[:n-1]
+		return r
+	}
+	return new(relay) //nio:ok hotalloc -- free list empty: the first requests, or a burst deeper than any before
+}
+
+// freeRelay recycles a completed relay. Nothing may still refer to r or
+// to its wire bytes: relayComplete is the only caller, after the
+// upstream socket has let go of them.
+//
+//nio:hot
+func (s *Server) freeRelay(r *relay) {
+	if len(s.freeRelays) < maxFreeRelays {
+		*r = relay{wire: r.wire[:0]}
+		s.freeRelays = append(s.freeRelays, r)
+	}
 }
 
 // NewServer binds the listener and prepares the tier; Start launches it.
@@ -530,7 +608,10 @@ func (s *Server) Drain(timeout time.Duration) bool {
 // Event loop
 // ---------------------------------------------------------------------
 
-var errUpstreamHangup = errors.New("proxy: upstream hangup")
+var (
+	errUpstreamHangup = errors.New("proxy: upstream hangup")
+	errUnsolicited    = errors.New("proxy: unsolicited upstream data")
+)
 
 //nio:loop
 func (s *Server) loop() {
@@ -573,7 +654,7 @@ func (s *Server) loop() {
 			// close every connection with nothing in flight.
 			var idle []*dconn
 			for _, d := range s.dconns {
-				if d.active == nil && len(d.pending) == 0 && len(d.out) == 0 {
+				if d.idle() {
 					idle = append(idle, d)
 				}
 			}
@@ -829,7 +910,7 @@ func (s *Server) dReadable(d *dconn) {
 			return
 		}
 		if eof {
-			if d.active == nil && len(d.pending) == 0 && len(d.out) == 0 {
+			if d.idle() {
 				s.closeD(d)
 				return
 			}
@@ -867,6 +948,8 @@ func (s *Server) dReadable(d *dconn) {
 
 // admitRequest turns one parsed request into a queued relay. Returns
 // false when the connection is now closing (error response queued).
+//
+//nio:hot
 func (s *Server) admitRequest(d *dconn, req *httpwire.Request) bool {
 	if d.closing {
 		return false
@@ -881,13 +964,14 @@ func (s *Server) admitRequest(d *dconn, req *httpwire.Request) bool {
 		s.respondLocal(d, 501, nil)
 		return false
 	}
-	hdrs := httpwire.ForwardHeaders(req, ViaToken, d.peer)
-	r := &relay{
-		d:          d,
-		wire:       httpwire.AppendRequestHead(nil, req.Method, req.Path, "HTTP/1.1", hdrs),
-		path:       req.Path,
-		closeAfter: !req.KeepAlive,
-		enq:        time.Now(),
+	s.hdrs = httpwire.AppendForwardHeaders(s.hdrs[:0], req, ViaToken, d.peer)
+	r := s.newRelay()
+	r.d = d
+	r.wire = httpwire.AppendRequestHead(r.wire, req.Method, req.Path, "HTTP/1.1", s.hdrs)
+	r.path = req.Path
+	r.closeAfter = !req.KeepAlive
+	if s.obs != nil {
+		r.enq = time.Now() // the phase clocks below run only for the recorder
 	}
 	d.pending = append(d.pending, r)
 	return true
@@ -897,8 +981,7 @@ func (s *Server) admitRequest(d *dconn, req *httpwire.Request) bool {
 // stream is free.
 func (s *Server) pump(d *dconn) {
 	for d.active == nil && !d.closing && len(d.pending) > 0 {
-		r := d.pending[0]
-		d.pending = d.pending[1:]
+		r := d.popPending()
 		d.active = r
 		s.dispatch(r)
 	}
@@ -988,14 +1071,16 @@ func (s *Server) dispatch(r *relay) {
 }
 
 // bindRelay attaches r to a ready upstream socket and starts the write.
+//
+//nio:hot
 func (s *Server) bindRelay(u *uconn, r *relay) {
 	u.state = uBusy
 	u.r = r
 	u.gotBytes = false
 	u.rp.Reset()
 	r.u = u
-	r.bound = time.Now()
 	if pl := s.obs; pl != nil {
+		r.bound = time.Now()
 		pl.Record(r.d.obsID, obs.QueueWait, r.bound.Sub(r.enq))
 	}
 	u.pendingWrite = r.wire
@@ -1173,8 +1258,21 @@ func (s *Server) respondLocal(d *dconn, code int, extra []httpwire.Header) {
 	head := httpwire.AppendResponseHeaderExtra(nil, code, "text/plain", 0, false, hdrs...)
 	d.out = append(d.out, head)
 	d.closing = true
-	d.pending = nil
+	d.dropPending()
 	s.flushD(d)
+}
+
+// write is one non-blocking write on either leg. ENOBUFS reads as
+// "again": transient kernel buffer exhaustion is a stall (keep the
+// queue, wait for writability), not a failure — as in core's flush.
+//
+//nio:hot
+func (s *Server) write(fd int, b []byte) (n int, again bool, err error) {
+	n, again, err = reactor.Write(s.lane, fd, b)
+	if errors.Is(err, syscall.ENOBUFS) {
+		return 0, true, nil
+	}
+	return n, again, err
 }
 
 //nio:hot
@@ -1183,8 +1281,8 @@ func (s *Server) flushD(d *dconn) {
 		return
 	}
 	for len(d.out) > 0 {
-		seg := d.out[0][d.outOff:]
-		n, again, err := reactor.Write(s.lane, d.fd, seg)
+		seg := d.out[d.outHead][d.outOff:]
+		n, again, err := s.write(d.fd, seg)
 		if err != nil {
 			s.closeD(d)
 			return
@@ -1197,9 +1295,7 @@ func (s *Server) flushD(d *dconn) {
 			}
 		}
 		if n == len(seg) {
-			d.out[0] = nil
-			d.out = d.out[1:]
-			d.outOff = 0
+			d.popOut()
 			continue
 		}
 		d.outOff += n
@@ -1285,8 +1381,7 @@ func (s *Server) closeD(d *dconn) {
 			r.b.inflight.Add(-1)
 		}
 	}
-	d.pending = nil
-	d.out = nil
+	d.pending, d.out = nil, nil
 }
 
 // ---------------------------------------------------------------------
@@ -1313,11 +1408,9 @@ func (s *Server) uWritable(u *uconn) {
 			s.parkIdle(u)
 			return
 		}
-		if r := u.r; r != nil {
-			r.bound = time.Now()
-			if pl := s.obs; pl != nil {
-				pl.Record(r.d.obsID, obs.QueueWait, r.bound.Sub(r.enq))
-			}
+		if pl := s.obs; pl != nil && u.r != nil {
+			u.r.bound = time.Now()
+			pl.Record(u.r.d.obsID, obs.QueueWait, u.r.bound.Sub(u.r.enq))
 		}
 	}
 	s.writeUpstream(u)
@@ -1326,7 +1419,7 @@ func (s *Server) uWritable(u *uconn) {
 //nio:hot
 func (s *Server) writeUpstream(u *uconn) {
 	for u.wOff < len(u.pendingWrite) {
-		n, again, err := reactor.Write(s.lane, u.fd, u.pendingWrite[u.wOff:])
+		n, again, err := s.write(u.fd, u.pendingWrite[u.wOff:])
 		if err != nil {
 			s.upstreamFailed(u, err)
 			return
@@ -1353,6 +1446,13 @@ func (s *Server) writeUpstream(u *uconn) {
 	}
 }
 
+// uReadable relays what the backend sent. The bytes are not copied on
+// their way through: the read buffer itself is queued on the client's
+// output (the loan), the unchanged complete-then-flush order runs, and
+// endLoan takes back whatever the client's socket did not accept before
+// the buffer is read into again.
+//
+//nio:hot
 func (s *Server) uReadable(u *uconn) {
 	for {
 		n, eof, again, err := reactor.Read(s.lane, u.fd, s.buf)
@@ -1366,7 +1466,7 @@ func (s *Server) uReadable(u *uconn) {
 		if u.state != uBusy || u.r == nil {
 			// Data on a socket with no relay bound: protocol violation
 			// (or a stale idle socket); drop the socket.
-			s.upstreamFailed(u, errors.New("proxy: unsolicited upstream data"))
+			s.upstreamFailed(u, errUnsolicited)
 			return
 		}
 		u.gotBytes = true
@@ -1376,21 +1476,42 @@ func (s *Server) uReadable(u *uconn) {
 		// Forward the raw bytes downstream while the parser tracks
 		// framing. Relayed responses are never rewritten — that is the
 		// shed-attribution contract.
-		d.out = append(d.out, append([]byte(nil), s.buf[:n]...))
+		d.out = append(d.out, s.buf[:n])
 		var perr error
 		s.resps, perr = u.rp.Feed(s.resps[:0], s.buf[:n])
 		if perr != nil || len(s.resps) > 1 {
 			s.upstreamFailed(u, perr)
+			s.endLoan(d, n)
 			return
 		}
-		if len(s.resps) == 1 {
+		done := len(s.resps) == 1
+		if done {
 			s.relayComplete(u, r, s.resps[0])
-			s.flushD(d)
-			return
 		}
 		s.flushD(d)
+		s.endLoan(d, n)
+		if done {
+			return
+		}
 		if _, open := s.uconns[u.fd]; !open {
 			return // flush failed and closeD tore the upstream down
+		}
+	}
+}
+
+// endLoan ends the loan uReadable made of s.buf[:n] to d's output queue:
+// the part of it still queued, if any, becomes a copy. Only a client
+// that is not keeping up with its backend pays for one.
+//
+//nio:hot
+func (s *Server) endLoan(d *dconn, n int) {
+	for i := d.outHead; i < len(d.out); i++ {
+		if seg := d.out[i]; len(seg) == n && &seg[0] == &s.buf[0] {
+			if i == d.outHead {
+				seg, d.outOff = seg[d.outOff:], 0
+			}
+			d.out[i] = append([]byte(nil), seg...)
+			return
 		}
 	}
 }
@@ -1399,6 +1520,8 @@ func (s *Server) uReadable(u *uconn) {
 // (park for reuse or close, per the backend's keep-alive decision), and
 // dispatching whatever is waiting — on the backend's queue and on the
 // client connection.
+//
+//nio:hot
 func (s *Server) relayComplete(u *uconn, r *relay, resp *httpwire.Response) {
 	d := r.d
 	b := u.b
@@ -1413,24 +1536,32 @@ func (s *Server) relayComplete(u *uconn, r *relay, resp *httpwire.Response) {
 	}
 	b.noteSuccess(false, s.cfg.ReviveAfter)
 	if pl := s.obs; pl != nil {
-		pl.Record(d.obsID, obs.Handler, time.Since(r.bound))
+		d.serveDone = time.Now()
+		d.hasDone = true
+		pl.Record(d.obsID, obs.Handler, d.serveDone.Sub(r.bound))
 	}
-	d.serveDone = time.Now()
-	d.hasDone = true
 	u.r = nil
 	r.u = nil
 	r.b = nil
 	d.active = nil
 	if r.closeAfter {
 		d.closing = true
-		d.pending = nil
+		d.dropPending()
 	}
 	u.fresh = false
-	if !resp.KeepAlive {
+	// A backend that answered before it was sent the whole request (the
+	// write blocked or fell short, and the reply overtook it) leaves the
+	// tail of r.wire unsent: parked like that, the socket would give the
+	// next relay's backend a torso followed by a new request — and r.wire
+	// is about to be recycled under it. Such a socket is never reused.
+	halfWritten := u.wOff < len(u.pendingWrite)
+	u.pendingWrite, u.wOff = nil, 0
+	if !resp.KeepAlive || halfWritten {
 		s.removeUpstream(u)
 	} else {
 		s.parkIdle(u)
 	}
+	s.freeRelay(r)
 	s.pump(d)
 }
 

@@ -22,7 +22,11 @@ package repro
 //     where the static configuration lets queueing delay blow through it;
 //   - an injected handler panic costs one connection a 500, never the
 //     process; an injected wedge is flagged by the stall watchdog within
-//     about one heartbeat interval and recovers when the hang clears.
+//     about one heartbeat interval and recovers when the hang clears;
+//   - a request whose framing two parsers could read differently (a
+//     Transfer-Encoding, two disagreeing Content-Lengths) is refused with
+//     400 + close by both servers and by the proxy, which forwards
+//     nothing of it.
 
 import (
 	"bufio"
@@ -46,6 +50,7 @@ import (
 	"repro/internal/mtserver"
 	"repro/internal/obs"
 	"repro/internal/overload"
+	"repro/internal/proxy"
 	"repro/internal/surge"
 )
 
@@ -1048,6 +1053,119 @@ func TestTraceRecordsPanicAndDrain(t *testing.T) {
 			closes := obs.Filter{Kind: obs.Close, HasKind: true}.Apply(pl.Ring().Events())
 			if int64(len(closes)) != pl.Count(obs.Close) {
 				t.Fatalf("ring holds %d close events, counters say %d", len(closes), pl.Count(obs.Close))
+			}
+		})
+	}
+}
+
+// TestAmbiguousFramingRefusedLive sends each server, and the proxy in
+// front of one, the two request shapes a desync attack is built from. In
+// both the bytes after the head spell a complete second request: a
+// parser that ignores the Transfer-Encoding (or picks the other
+// Content-Length) serves it as a pipelined request — and the proxy used
+// to strip the field and forward the rest. The only acceptable outcome
+// is one 400 that closes the connection, with nothing served or
+// forwarded; a repeated Content-Length that agrees with itself stays
+// legal.
+func TestAmbiguousFramingRefusedLive(t *testing.T) {
+	const smuggled = "GET /hello HTTP/1.1\r\nHost: sut\r\n\r\n"
+	attacks := map[string]string{
+		"transfer-encoding": "GET /hello HTTP/1.1\r\nHost: sut\r\nTransfer-Encoding: chunked\r\n\r\n" + smuggled,
+		"content-lengths":   "GET /hello HTTP/1.1\r\nHost: sut\r\nContent-Length: 0\r\nContent-Length: 39\r\n\r\n" + smuggled,
+	}
+	const legal = "GET /hello HTTP/1.1\r\nHost: sut\r\nContent-Length: 0\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+
+	type target struct {
+		addr    string
+		served  func() int64 // replies the origin server has produced
+		refused func() int64
+	}
+	startCore := func(t *testing.T) (*core.Server, target) {
+		cfg := core.DefaultConfig(robustStore())
+		cfg.Shards = 1
+		srv, err := core.NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Stop)
+		return srv, target{srv.Addr(),
+			func() int64 { return srv.Stats().Replies },
+			func() int64 { return srv.Stats().BadRequest }}
+	}
+	targets := map[string]func(t *testing.T) target{
+		"core": func(t *testing.T) target { _, tg := startCore(t); return tg },
+		"mtserver": func(t *testing.T) target {
+			cfg := mtserver.DefaultConfig(robustStore())
+			cfg.Threads = 2
+			srv, err := mtserver.NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv.Stop)
+			return target{srv.Addr(),
+				func() int64 { return srv.Stats().Replies },
+				func() int64 { return srv.Stats().BadRequest }}
+		},
+		"nioproxy": func(t *testing.T) target {
+			backend, _ := startCore(t)
+			p := startProxyTier(t, 1, []proxy.BackendConfig{{Addr: backend.Addr(), Name: "b0"}}, nil)
+			return target{p.Addr(),
+				func() int64 { return backend.Stats().Replies }, // what got through to the origin
+				func() int64 { return p.Stats().BadRequest }}
+		},
+	}
+	// exchange writes wire and returns every response up to the end of
+	// the connection (a FIN — or a reset, when the server closed with the
+	// smuggled bytes still unread).
+	exchange := func(t *testing.T, addr, wire string) []*http.Response {
+		t.Helper()
+		c, err := net.DialTimeout("tcp", addr, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.WriteString(c, wire); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(c)
+		var out []*http.Response
+		for {
+			resp, err := http.ReadResponse(br, nil)
+			if err != nil {
+				if ne, ok := err.(net.Error); ok && ne.Timeout() {
+					t.Fatalf("after %d responses the connection is still open: %v", len(out), err)
+				}
+				return out
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			out = append(out, resp)
+		}
+	}
+	for name, start := range targets {
+		t.Run(name, func(t *testing.T) {
+			tg := start(t)
+			for attack, wire := range attacks {
+				resps := exchange(t, tg.addr, wire)
+				if len(resps) != 1 || resps[0].StatusCode != 400 || !resps[0].Close {
+					t.Fatalf("%s: %d responses, first %+v; want exactly one 400 with Connection: close", attack, len(resps), resps)
+				}
+			}
+			if got := tg.served(); got != 0 {
+				t.Errorf("the origin served %d replies out of refused requests, want 0", got)
+			}
+			if got := tg.refused(); got != int64(len(attacks)) {
+				t.Errorf("bad-request counter = %d, want %d", got, len(attacks))
+			}
+			if resps := exchange(t, tg.addr, legal); len(resps) != 1 || resps[0].StatusCode != 200 {
+				t.Errorf("a repeated, agreeing Content-Length: %d responses, first %+v; want one 200", len(resps), resps)
 			}
 		})
 	}
