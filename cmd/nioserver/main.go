@@ -141,8 +141,8 @@ func main() {
 	}
 	if root != nil {
 		cs := root.Stats()
-		fmt.Printf("304s=%d sendfile-bytes=%d cache: hits=%d misses=%d evictions=%d cached-bytes=%d\n",
-			st.NotModified, st.SendfileBytes, cs.Hits, cs.Misses, cs.Evictions, cs.CachedBytes)
+		fmt.Printf("304s=%d sendfile-bytes=%d cache: hits=%d misses=%d evictions=%d cached-bytes=%d errors=%d\n",
+			st.NotModified, st.SendfileBytes, cs.Hits, cs.Misses, cs.Evictions, cs.CachedBytes, cs.Errors)
 	}
 }
 

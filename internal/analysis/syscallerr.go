@@ -16,7 +16,8 @@ var Syscallerr = &Analyzer{
 	Name: "syscallerr",
 	Doc: "check that raw syscall.Read/Write/Accept4/EpollWait/Sendfile/Sendto call sites " +
 		"(and sendto(2) spelled as syscall.Syscall*(SYS_SENDTO, ...)) " +
-		"classify EINTR and EAGAIN instead of treating every error as fatal; " +
+		"classify EINTR and EAGAIN instead of treating every error as fatal, " +
+		"and that syscall.Open/Fstat/Pread call sites classify EINTR; " +
 		"EINTR classification may be delegated by wrapping the call in a " +
 		"closure passed to a retryEINTR helper; sysfault seam call sites " +
 		"(which absorb EINTR internally) must still classify EAGAIN",
@@ -25,7 +26,10 @@ var Syscallerr = &Analyzer{
 
 // syscallErrTargets maps the audited syscall functions to the errnos
 // their call sites must classify. EpollWait cannot return EAGAIN, so
-// only EINTR is demanded there.
+// only EINTR is demanded there; nor can the file calls the docroot
+// issues on raw descriptors — open(2), fstat(2) and pread(2) of a
+// regular file never would-block, but a signal interrupts them like
+// anything else, and os.File's retry loops are no longer underneath.
 var syscallErrTargets = map[string]struct{ eintr, eagain bool }{
 	"Read":      {true, true},
 	"Write":     {true, true},
@@ -33,6 +37,9 @@ var syscallErrTargets = map[string]struct{ eintr, eagain bool }{
 	"EpollWait": {true, false},
 	"Sendfile":  {true, true},
 	"Sendto":    {true, true},
+	"Open":      {true, false},
+	"Fstat":     {true, false},
+	"Pread":     {true, false},
 }
 
 // rawSyscallFuncs are the syscall-package trampolines through which

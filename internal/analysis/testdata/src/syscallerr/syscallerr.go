@@ -156,3 +156,67 @@ func rawGetpid() int {
 	}
 	return int(pid)
 }
+
+// bad: a signal during open(2) is not a missing file.
+func bareOpen(path string) int {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0) // want "syscall.Open.*EINTR"
+	if err != nil {
+		return -1
+	}
+	return fd
+}
+
+// bad: fstat(2) and pread(2) are interrupted the same way.
+func bareStatRead(fd int, buf []byte) int {
+	var st syscall.Stat_t
+	if err := syscall.Fstat(fd, &st); err != nil { // want "syscall.Fstat.*EINTR"
+		return -1
+	}
+	n, err := syscall.Pread(fd, buf, 0) // want "syscall.Pread.*EINTR"
+	if err != nil {
+		return -1
+	}
+	return n
+}
+
+// good: the file calls owe EINTR only — a regular file never
+// would-blocks, so no EAGAIN classification is demanded.
+func retriedOpen(path string) int {
+	for {
+		fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+		switch err {
+		case nil:
+			return fd
+		case syscall.EINTR:
+			continue
+		}
+		return -1
+	}
+}
+
+// good: a retry loop per call.
+func retriedFstat(fd int, st *syscall.Stat_t) error {
+	for {
+		err := syscall.Fstat(fd, st)
+		if err != syscall.EINTR {
+			return err
+		}
+	}
+}
+
+// good: the full-read loop retries the interrupted call at the same
+// offset.
+func retriedPread(fd int, buf []byte) (int, error) {
+	n := 0
+	for n < len(buf) {
+		m, err := syscall.Pread(fd, buf[n:], int64(n))
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil || m == 0 {
+			return n, err
+		}
+		n += m
+	}
+	return n, nil
+}

@@ -357,11 +357,17 @@ func NewServer(cfg Config) (*Server, error) {
 // Server.reserveFD). A failure to open it (-1) only disables the
 // recovery, never the server.
 func openReserve() int {
-	fd, err := syscall.Open("/dev/null", syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
-	if err != nil {
-		return -1
+	for {
+		fd, err := syscall.Open("/dev/null", syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+		switch err {
+		case nil:
+			return fd
+		case syscall.EINTR:
+			// a signal is not a reason to run without the reserve
+		default:
+			return -1
+		}
 	}
-	return fd
 }
 
 // Port returns the bound port.
@@ -1537,8 +1543,7 @@ func (w *shard) serveStore(c *conn, req *httpwire.Request) {
 func (w *shard) serveDocroot(c *conn, req *httpwire.Request) {
 	ent, err := w.srv.cfg.Docroot.Get(req.Path)
 	if err != nil {
-		w.stats.notFound.add(1)
-		c.pushHead(404, "text/plain", 0, req.KeepAlive, "", "")
+		w.docrootError(c, req, err)
 		return
 	}
 	if httpwire.NotModified(req, ent.ETag, ent.ModTime) {
@@ -1561,6 +1566,28 @@ func (w *shard) serveDocroot(c *conn, req *httpwire.Request) {
 	}
 	// Zero-copy path: the segment owns the reference until fully sent.
 	c.push(outSeg{ent: ent, off: 0, end: ent.Size})
+}
+
+// docrootError answers a request whose Root.Get failed. Only a path
+// with no servable file is a 404. Out of descriptors is the server's
+// condition, not the file's: the cache gives some back and the client
+// is told to retry, as on an accept that hit the same wall. Anything
+// else (EIO, ELOOP, EACCES, a file truncated under the read) is a 500
+// that closes the connection, like a handler panic; docroot.Stats
+// counts both kinds.
+func (w *shard) docrootError(c *conn, req *httpwire.Request, err error) {
+	switch {
+	case docroot.NotFound(err):
+		w.stats.notFound.add(1)
+		c.pushHead(404, "text/plain", 0, req.KeepAlive, "", "")
+	case docroot.FDExhausted(err):
+		w.srv.cfg.Docroot.ShedFDs(docrootPressureEvictions)
+		c.push(outSeg{buf: httpwire.AppendResponseHeaderExtra(nil, 503, "text/plain", 0, req.KeepAlive,
+			httpwire.Header{Name: "Retry-After", Value: strconv.Itoa(shedRetryAfterSec)})})
+	default:
+		c.pushHead(500, "text/plain", 0, false, "", "")
+		c.closing = true
+	}
 }
 
 // sendfileChunk bounds one sendfile call so a single huge file cannot
@@ -1819,7 +1846,7 @@ func (w *shard) resetConn(c *conn) {
 		return
 	}
 	delete(w.conns, c.fd)
-	w.poller.Remove(c.fd)
+	w.poller.Forget(c.fd)
 	reactor.CloseWithReset(w.lane, c.fd)
 	c.closed = true
 	if v := w.obs; v != nil && c.obsID != 0 {
@@ -1834,7 +1861,7 @@ func (w *shard) closeConn(c *conn) {
 		return
 	}
 	delete(w.conns, c.fd)
-	w.poller.Remove(c.fd)
+	w.poller.Forget(c.fd)
 	reactor.CloseFD(w.lane, c.fd)
 	c.closed = true
 	if v := w.obs; v != nil && c.obsID != 0 {

@@ -275,6 +275,52 @@ func TestAbruptClientCloseCleansUp(t *testing.T) {
 	t.Fatalf("connections leaked: %+v", s.Stats())
 }
 
+// Connections are closed without an epoll_ctl(DEL) in front (close(2)
+// takes the socket out of the interest set; Poller.Forget only updates
+// the invariant build's shadow). Under -tags invariants every loop
+// iteration audits the shadow against the connection table, so any
+// drift through this churn — orderly closes, resets, server-side RSTs,
+// descriptor numbers reused at once — panics the loop; in the default
+// build the test still holds the accounting to zero.
+func TestConnectionChurnKeepsInterestSetExact(t *testing.T) {
+	cfg := DefaultConfig(testStore())
+	cfg.Shards = 1
+	cfg.HeaderTimeout = 30 * time.Millisecond // slow headers are reset by the server
+	s := startServer(t, cfg)
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		c, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch i % 4 {
+		case 0, 1: // served, then closed by the server
+			fmt.Fprintf(c, "GET /hello HTTP/1.1\r\nConnection: close\r\n\r\n")
+			if data, err := io.ReadAll(c); err != nil || !strings.Contains(string(data), "hello world") {
+				t.Fatalf("round %d: %q, %v", i, data, err)
+			}
+		case 2: // reset by the client with a large reply in flight
+			fmt.Fprintf(c, "GET /big HTTP/1.1\r\n\r\n")
+			c.(*net.TCPConn).SetLinger(0)
+		case 3: // half a request line: reset by the server's header clock
+			fmt.Fprintf(c, "GET /hel")
+			c.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, err := c.Read(make([]byte, 1)); err == nil {
+				t.Fatalf("round %d: a slow header was answered", i)
+			}
+		}
+		c.Close()
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for s.Stats().ConnsOpen != 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	st := s.Stats()
+	if st.ConnsOpen != 0 || st.Accepted != rounds || st.HeaderTimeouts != rounds/4 {
+		t.Fatalf("after the churn: %+v", st)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	store := testStore()
 	bad := []Config{

@@ -1,3 +1,5 @@
+//go:build linux
+
 // Package docroot is the disk-backed content store shared by both live
 // servers: a real filesystem directory served through a bounded-byte LRU
 // cache of open file descriptors and (for small objects) in-memory
@@ -18,11 +20,17 @@
 // never touches the shared fd's file position — so one fd serves any
 // number of concurrent responses and survives eviction until the last
 // response finishes.
+//
+// The descriptors are raw: Entry holds the int that open(2) returned,
+// not an *os.File, whose open-to-close costs nine syscalls where four do
+// the work (DESIGN.md §7). Those four are issued here directly, and the
+// refcount is the only thing that closes a descriptor.
 package docroot
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path"
@@ -57,33 +65,44 @@ type Entry struct {
 	// ContentType is inferred from the file extension.
 	ContentType string
 
-	f    *os.File
+	fd   int
 	body []byte
 	refs atomic.Int32
 
 	// cache bookkeeping (owned by Root.mu)
 	key    string
 	charge int64
-	lru    *lruNode
+	lru    lruNode
 }
 
 // Body returns the in-memory body, or nil when the entry is fd-only and
-// must be delivered with sendfile (or a read loop on non-Linux). The
-// slice outlives Release — it is immutable and garbage collected — so
-// buffered responses may Release immediately after queueing it.
+// must be delivered with sendfile. The slice outlives Release — it is
+// immutable and garbage collected — so buffered responses may Release
+// immediately after queueing it.
 func (e *Entry) Body() []byte { return e.body }
 
 // FD returns the shared open file descriptor. Valid until Release;
 // always read it with an explicit offset (pread/sendfile-with-offset),
 // never through the fd's file position.
-func (e *Entry) FD() int { return int(e.f.Fd()) }
+func (e *Entry) FD() int { return e.fd }
 
 // ReadAt reads from the entry's file at an explicit offset (the
-// buffered fallback path on platforms without sendfile).
-func (e *Entry) ReadAt(p []byte, off int64) (int, error) { return e.f.ReadAt(p, off) }
+// buffered fallback when sendfile is refused). It follows io.ReaderAt:
+// a read that comes up short reports why, io.EOF at the end of the file.
+func (e *Entry) ReadAt(p []byte, off int64) (int, error) {
+	n, err := preadFull(e.fd, p, off)
+	if err != nil && err != io.EOF {
+		err = &os.PathError{Op: "read", Path: e.key, Err: err}
+	}
+	return n, err
+}
 
 // Release drops one reference; the fd closes when the cache and every
-// in-flight response are done with it.
+// in-flight response are done with it. Nothing else ever closes it —
+// there is no finalizer behind a raw descriptor — so a reference never
+// released is a leaked descriptor, and one released twice closes a
+// number the kernel may already have handed to a socket (niovet's
+// refbalance and the invariant build guard both).
 func (e *Entry) Release() {
 	n := e.refs.Add(-1)
 	if invariant.Enabled {
@@ -91,7 +110,9 @@ func (e *Entry) Release() {
 			"docroot: entry %q refcount went negative (%d): double Release", e.key, n)
 	}
 	if n == 0 {
-		_ = e.f.Close()
+		// Not retried on EINTR: Linux has released the number by the
+		// time close(2) returns, whatever it returns.
+		_ = syscall.Close(e.fd)
 	}
 }
 
@@ -125,7 +146,7 @@ type Root struct {
 	cfg Config
 
 	mu    sync.Mutex
-	items map[string]*lruNode
+	items map[string]*Entry
 	head  lruNode // sentinel: head.next is most recent, head.prev least
 	used  int64
 
@@ -134,6 +155,7 @@ type Root struct {
 	evictions metrics.Counter
 	opens     metrics.Counter
 	pressure  metrics.Counter
+	errors    metrics.Counter
 }
 
 // Stats is a snapshot of the cache counters.
@@ -148,6 +170,10 @@ type Stats struct {
 	// PressureEvictions counts entries shed by ShedFDs under
 	// descriptor pressure (included in Evictions).
 	PressureEvictions int64
+	// Errors counts Gets that failed for a reason other than NotFound:
+	// descriptor exhaustion and I/O errors, the lookups a server answers
+	// with 503 or 500 (included in Misses).
+	Errors int64
 	// CachedBytes and CachedEntries describe the current cache content.
 	CachedBytes   int64
 	CachedEntries int
@@ -165,7 +191,7 @@ func New(cfg Config) (*Root, error) {
 	if cfg.MemLimit < 0 {
 		return nil, fmt.Errorf("docroot: negative MemLimit %d", cfg.MemLimit)
 	}
-	r := &Root{dir: cfg.Dir, cfg: cfg, items: make(map[string]*lruNode)}
+	r := &Root{dir: cfg.Dir, cfg: cfg, items: make(map[string]*Entry)}
 	r.head.next = &r.head
 	r.head.prev = &r.head
 	return r, nil
@@ -199,6 +225,7 @@ func (r *Root) Stats() Stats {
 		Evictions:         r.evictions.Value(),
 		Opens:             r.opens.Value(),
 		PressureEvictions: r.pressure.Value(),
+		Errors:            r.errors.Value(),
 		CachedBytes:       used,
 		CachedEntries:     n,
 	}
@@ -213,6 +240,14 @@ func NotFound(err error) bool {
 		errors.As(err, &pe)
 }
 
+// FDExhausted reports whether a Get error means the process (EMFILE) or
+// the system (ENFILE) is out of file descriptors (→ ShedFDs, then 503
+// with Retry-After): the file may well exist, and will open once
+// descriptors have been given back.
+func FDExhausted(err error) bool {
+	return errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE)
+}
+
 // pathError marks URL paths the docroot refuses to resolve (escapes,
 // non-regular files, embedded NULs).
 type pathError struct{ path string }
@@ -221,21 +256,38 @@ func (e *pathError) Error() string { return "docroot: unservable path " + strcon
 
 // Get resolves a URL path to an Entry, consulting the cache first. The
 // caller owns one reference and must Release it. Errors satisfying
-// NotFound should be answered with 404.
+// NotFound should be answered with 404, FDExhausted with 503, anything
+// else with 500. A hit allocates nothing: the filesystem path is built
+// only by a miss.
+//
+//nio:hot
 func (r *Root) Get(urlPath string) (*Entry, error) {
-	key, file, err := r.resolve(urlPath)
-	if err != nil {
-		r.misses.Inc()
-		return nil, err
+	key, ok := resolve(urlPath)
+	if !ok {
+		return r.refuse(urlPath)
 	}
 	if r.cfg.CacheBytes > 0 {
 		if e := r.cacheGet(key); e != nil {
 			return e, nil
 		}
 	}
+	return r.miss(key)
+}
+
+// refuse counts the lookup of a path resolve rejected.
+func (r *Root) refuse(urlPath string) (*Entry, error) {
 	r.misses.Inc()
-	e, err := r.openEntry(key, file)
+	return nil, &pathError{urlPath}
+}
+
+// miss opens the file behind key and offers it to the cache.
+func (r *Root) miss(key string) (*Entry, error) {
+	r.misses.Inc()
+	e, err := r.openEntry(key)
 	if err != nil {
+		if !NotFound(err) {
+			r.errors.Inc()
+		}
 		return nil, err
 	}
 	r.opens.Inc()
@@ -245,12 +297,17 @@ func (r *Root) Get(urlPath string) (*Entry, error) {
 	return r.cacheInsert(e), nil
 }
 
-// resolve canonicalizes a URL path and maps it under the root. Rooted
+// resolve canonicalizes a URL path into the cache key — the rooted,
+// cleaned path, which is also the file's path below Dir. Rooted
 // path.Clean cannot escape "/", so the docroot never serves outside
-// Dir; directory requests map to their index.html.
-func (r *Root) resolve(urlPath string) (key, file string, err error) {
+// Dir; directory requests map to their index.html. A path that is
+// already clean (every /obj/<id>) comes back as a substring of the
+// argument.
+//
+//nio:hot
+func resolve(urlPath string) (key string, ok bool) {
 	if urlPath == "" || urlPath[0] != '/' || strings.IndexByte(urlPath, 0) >= 0 {
-		return "", "", &pathError{urlPath}
+		return "", false
 	}
 	if i := strings.IndexByte(urlPath, '?'); i >= 0 {
 		urlPath = urlPath[:i]
@@ -259,43 +316,62 @@ func (r *Root) resolve(urlPath string) (key, file string, err error) {
 	if p == "/" || strings.HasSuffix(urlPath, "/") {
 		p = path.Join(p, "index.html")
 	}
-	return p, filepath.Join(r.dir, filepath.FromSlash(p[1:])), nil
+	return p, true
 }
 
-// openEntry opens and stats the file and builds its Entry (refs = 1,
-// owned by the caller), loading the body when the policy allows.
-func (r *Root) openEntry(key, file string) (*Entry, error) {
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
+// openEntry opens and stats the file behind key and builds its Entry
+// (refs = 1, owned by the caller), loading the body when the policy
+// allows. Failures carry the *os.PathError os.Open would have returned,
+// so they classify as they always have.
+func (r *Root) openEntry(key string) (*Entry, error) {
+	file := filepath.Join(r.dir, filepath.FromSlash(key[1:]))
+	var (
+		fd  int
+		err error
+	)
+open:
+	for {
+		fd, err = syscall.Open(file, openFlags, 0)
+		switch err {
+		case nil:
+			break open
+		case syscall.EINTR:
+			// a signal landed: again
+		case syscall.ENXIO:
+			// A unix socket: the one non-regular file open(2) itself
+			// turns down. Unservable like those fstat turns down below.
+			return nil, &pathError{key}
+		default:
+			return nil, &os.PathError{Op: "open", Path: file, Err: err}
+		}
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
+	var st syscall.Stat_t
+	if err := fstat(fd, &st); err != nil {
+		_ = syscall.Close(fd)
+		return nil, &os.PathError{Op: "stat", Path: file, Err: err}
 	}
-	if !fi.Mode().IsRegular() {
-		f.Close()
+	if st.Mode&syscall.S_IFMT != syscall.S_IFREG {
+		_ = syscall.Close(fd)
 		return nil, &pathError{key}
 	}
+	mtime := time.Unix(st.Mtim.Unix())
 	e := &Entry{
-		Size:         fi.Size(),
-		ModTime:      fi.ModTime(),
-		ETag:         etagFor(fi),
-		LastModified: httpwire.FormatHTTPDate(fi.ModTime()),
+		Size:         st.Size,
+		ModTime:      mtime,
+		ETag:         etagFor(st.Size, mtime),
+		LastModified: httpwire.FormatHTTPDate(mtime),
 		ContentType:  TypeByExt(key),
-		f:            f,
+		fd:           fd,
 		key:          key,
 		charge:       entryOverhead,
 	}
+	e.lru.ent = e
 	e.refs.Store(1)
 	if e.Size > 0 && e.Size <= r.cfg.MemLimit {
-		body := make([]byte, e.Size)
-		if _, err := f.ReadAt(body, 0); err != nil {
-			f.Close()
-			return nil, err
+		if e.body, err = readBody(fd, e.Size); err != nil {
+			_ = syscall.Close(fd)
+			return nil, &os.PathError{Op: "read", Path: file, Err: err}
 		}
-		e.body = body
 		e.charge += e.Size
 	}
 	return e, nil
@@ -304,9 +380,9 @@ func (r *Root) openEntry(key, file string) (*Entry, error) {
 // etagFor derives the strong validator from file metadata: size and
 // mtime in hex. Deterministic materialization (fixed mtimes) therefore
 // yields identical ETags across servers and across runs.
-func etagFor(fi fs.FileInfo) string {
-	return `"` + strconv.FormatInt(fi.Size(), 16) + "-" +
-		strconv.FormatInt(fi.ModTime().UnixNano(), 16) + `"`
+func etagFor(size int64, mtime time.Time) string {
+	return `"` + strconv.FormatInt(size, 16) + "-" +
+		strconv.FormatInt(mtime.UnixNano(), 16) + `"`
 }
 
 // ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-//go:build invariants
+//go:build linux && invariants
 
 package docroot
 

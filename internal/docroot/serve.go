@@ -1,3 +1,5 @@
+//go:build linux
+
 package docroot
 
 import "io"
@@ -10,8 +12,8 @@ type Writer interface {
 }
 
 // copyTo is the buffered delivery loop: pread into a scratch buffer,
-// write to the connection. Taken on non-Linux platforms and for
-// connections that do not expose a raw descriptor.
+// write to the connection. Taken for connections that do not expose a
+// raw descriptor.
 func copyTo(conn Writer, e *Entry) (int64, error) {
 	return copyToFrom(conn, e, 0)
 }

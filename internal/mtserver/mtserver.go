@@ -463,11 +463,17 @@ func shedConn(conn net.Conn, retryAfterSec int) {
 // openReserve opens the fd-exhaustion reserve descriptor. A failure
 // to open it (-1) only disables the recovery, never the server.
 func openReserve() int {
-	fd, err := syscall.Open("/dev/null", syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
-	if err != nil {
-		return -1
+	for {
+		fd, err := syscall.Open("/dev/null", syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+		switch err {
+		case nil:
+			return fd
+		case syscall.EINTR:
+			// a signal is not a reason to run without the reserve
+		default:
+			return -1
+		}
 	}
-	return fd
 }
 
 // docrootPressureEvictions is how many cached entries (and so file
@@ -755,8 +761,7 @@ func (s *Server) serve(conn net.Conn, req *httpwire.Request, out *[]byte, cs *co
 func (s *Server) serveDocroot(conn net.Conn, req *httpwire.Request, out *[]byte, cs *connState) bool {
 	ent, err := s.cfg.Docroot.Get(req.Path)
 	if err != nil {
-		*out = httpwire.AppendResponseHeader((*out)[:0], 404, "text/plain", 0, req.KeepAlive)
-		return s.finish(conn, *out, req.KeepAlive, cs)
+		return s.docrootError(conn, req, out, cs, err)
 	}
 	defer ent.Release()
 	if httpwire.NotModified(req, ent.ETag, ent.ModTime) {
@@ -803,6 +808,26 @@ func (s *Server) serveDocroot(conn net.Conn, req *httpwire.Request, out *[]byte,
 	s.replies.Add(1)
 	s.observeReply(cs)
 	return req.KeepAlive
+}
+
+// docrootError answers a request whose Root.Get failed — the same three
+// classes and statuses as core's docrootError: no servable file is a
+// 404; out of descriptors sheds cached ones and answers 503 with
+// Retry-After; anything else is a 500 that closes the connection.
+func (s *Server) docrootError(conn net.Conn, req *httpwire.Request, out *[]byte, cs *connState, err error) bool {
+	keepAlive := req.KeepAlive
+	switch {
+	case docroot.NotFound(err):
+		*out = httpwire.AppendResponseHeader((*out)[:0], 404, "text/plain", 0, keepAlive)
+	case docroot.FDExhausted(err):
+		s.cfg.Docroot.ShedFDs(docrootPressureEvictions)
+		*out = httpwire.AppendResponseHeaderExtra((*out)[:0], 503, "text/plain", 0, keepAlive,
+			httpwire.Header{Name: "Retry-After", Value: strconv.Itoa(shedRetryAfterSec)})
+	default:
+		keepAlive = false
+		*out = httpwire.AppendResponseHeader((*out)[:0], 500, "text/plain", 0, false)
+	}
+	return s.finish(conn, *out, keepAlive, cs)
 }
 
 // finish writes a fully assembled response and counts the reply.

@@ -297,11 +297,17 @@ type Server struct {
 // Server.reserveFD). A failure to open it (-1) only disables the
 // recovery, never the tier.
 func openReserve() int {
-	fd, err := syscall.Open("/dev/null", syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
-	if err != nil {
-		return -1
+	for {
+		fd, err := syscall.Open("/dev/null", syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+		switch err {
+		case nil:
+			return fd
+		case syscall.EINTR:
+			// a signal is not a reason to run without the reserve
+		default:
+			return -1
+		}
 	}
-	return fd
 }
 
 // dconn is one downstream (client) connection.
@@ -1353,7 +1359,7 @@ func (s *Server) closeD(d *dconn) {
 		return
 	}
 	delete(s.dconns, d.fd)
-	s.poller.Remove(d.fd)
+	s.poller.Forget(d.fd)
 	reactor.CloseFD(s.lane, d.fd)
 	s.connsOpen.add(-1)
 	if pl := s.obs; pl != nil {
@@ -1676,7 +1682,7 @@ func (s *Server) removeUpstream(u *uconn) {
 		return
 	}
 	delete(s.uconns, u.fd)
-	s.poller.Remove(u.fd)
+	s.poller.Forget(u.fd)
 	reactor.CloseFD(s.lane, u.fd)
 	b := u.b
 	b.open.Add(-1)

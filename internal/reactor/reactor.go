@@ -158,6 +158,13 @@ func (p *Poller) Remove(fd int) {
 	p.reg.del(fd)
 }
 
+// Forget is Remove for an fd the caller closes next: close(2) takes a
+// descriptor out of every interest set it is in once no duplicate of it
+// remains, and the reactors never dup a socket, so the epoll_ctl(DEL)
+// in front of the close is a syscall for nothing. Only the invariant
+// build's shadow of the interest set has anything to update.
+func (p *Poller) Forget(fd int) { p.reg.del(fd) }
+
 // HasInterest reports whether fd is in the poller's interest-set
 // shadow. Meaningful only under -tags invariants (always false
 // otherwise); it exists for the invariant layer's interest-set checks.
@@ -283,6 +290,13 @@ func listenSock(port, backlog int, reusePort bool) (fd, boundPort int, err error
 			return -1, 0, fmt.Errorf("reactor: SO_REUSEPORT: %w", err)
 		}
 	}
+	// Nagle off, once: the servers write complete responses, and on Linux
+	// an accepted socket starts with its listener's TCP_NODELAY, so this
+	// replaces a setsockopt(2) per accepted connection.
+	if err = syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1); err != nil {
+		_ = sysfault.Close(0, fd)
+		return -1, 0, fmt.Errorf("reactor: TCP_NODELAY: %w", err)
+	}
 	sa := &syscall.SockaddrInet4{Port: port, Addr: [4]byte{127, 0, 0, 1}}
 	if err = syscall.Bind(fd, sa); err != nil {
 		_ = sysfault.Close(0, fd)
@@ -398,13 +412,13 @@ func parseIPv4Addr(addr string) (ip [4]byte, port int, err error) {
 }
 
 // Accept accepts one pending connection from a non-blocking listener.
-// done reports EAGAIN (nothing pending).
+// done reports EAGAIN (nothing pending). The new socket is non-blocking
+// and close-on-exec by accept4(2)'s flags and has Nagle off by
+// inheritance from a listener made by Listen or ListenReusePort.
 func Accept(lane sysfault.Lane, lfd int) (fd int, done bool, err error) {
 	fd, err = sysfault.Accept4(lane, lfd, syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC)
 	switch err {
 	case nil:
-		// Disable Nagle: the servers write complete responses.
-		_ = syscall.SetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY, 1)
 		return fd, false, nil
 	case syscall.EAGAIN:
 		return -1, true, nil

@@ -286,6 +286,76 @@ func TestRemoveStopsEvents(t *testing.T) {
 	}
 }
 
+// Forget leaves the kernel's interest set to close(2). The proof that
+// close really does take the descriptor out: the next socket gets the
+// same number, and registering it is a fresh epoll_ctl(ADD) — which
+// would fail EEXIST had the old registration survived — whose events
+// are the new socket's, not the old one's.
+func TestForgetThenCloseLeavesNoRegistration(t *testing.T) {
+	p := newPoller(t)
+	lfd, port := listen(t)
+	last, reused := -1, 0
+	for i := 0; i < 50; i++ {
+		client := dial(t, port)
+		waitReadable(t, lfd)
+		fd, _, err := Accept(0, lfd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fd == last {
+			reused++
+		}
+		last = fd
+		if err := p.Add(fd, true, false); err != nil {
+			t.Fatalf("round %d: Add(fd %d) after a forgotten close: %v", i, fd, err)
+		}
+		if _, err := client.Write([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		evs, err := p.Wait(2000)
+		if err != nil || len(evs) != 1 || evs[0].FD != fd || !evs[0].Readable {
+			t.Fatalf("round %d: Wait = %+v, %v; want fd %d readable", i, evs, err, fd)
+		}
+		p.Forget(fd)
+		if p.HasInterest(fd) { // the shadow is real only under -tags invariants
+			t.Fatalf("round %d: fd %d still in the interest-set shadow after Forget", i, fd)
+		}
+		CloseFD(0, fd)
+		client.Close()
+		if evs, err := p.Wait(0); err != nil || len(evs) != 0 {
+			t.Fatalf("round %d: events for a closed fd: %+v, %v", i, evs, err)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no descriptor number was ever reused: the test proved nothing")
+	}
+}
+
+// An accepted socket must have Nagle off without a setsockopt of its
+// own: Accept relies on inheriting the listener's TCP_NODELAY.
+func TestAcceptedSocketInheritsNoDelay(t *testing.T) {
+	for name, listenFn := range map[string]func(port, backlog int) (int, int, error){
+		"Listen": Listen, "ListenReusePort": ListenReusePort,
+	} {
+		lfd, port, err := listenFn(0, 128)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		t.Cleanup(func() { CloseFD(0, lfd) })
+		dial(t, port)
+		waitReadable(t, lfd)
+		fd, _, err := Accept(0, lfd)
+		if err != nil {
+			t.Fatalf("%s: accept: %v", name, err)
+		}
+		t.Cleanup(func() { CloseFD(0, fd) })
+		v, err := syscall.GetsockoptInt(fd, syscall.IPPROTO_TCP, syscall.TCP_NODELAY)
+		if err != nil || v == 0 {
+			t.Fatalf("%s: accepted fd has TCP_NODELAY = %d (%v), want it set", name, v, err)
+		}
+	}
+}
+
 func TestHangupReported(t *testing.T) {
 	p := newPoller(t)
 	lfd, port := listen(t)
