@@ -61,7 +61,8 @@ bench-check:
 	echo "baseline: $$base"; \
 	go test -bench=. -benchmem -benchtime=1x ./... | go run ./cmd/benchjson -check $$base
 
-# Regenerate every paper figure at full scale (several minutes).
+# Regenerate every paper figure at full scale (several minutes). The
+# raw series land in expsim_full.txt, which is git-ignored.
 figures:
 	go run ./cmd/expsim | tee expsim_full.txt
 
@@ -127,7 +128,10 @@ lint:
 
 # Unit tests with the runtime invariant layer compiled in (refcounts,
 # epoll interest set, closed-conn guards, no orphan MSG_MORE cork) under
-# the race detector.
+# the race detector. The root tests that do not skip under -short run
+# too: the closing-reply matrix (close_segment_test.go) and the accept
+# burst (accept_burst_test.go) drive the cork through the close and the
+# one-accept-per-wake policy with every assertion armed.
 invariants:
 	go test -tags invariants -race -short ./...
 

@@ -585,77 +585,75 @@ func (s *Server) acceptLoop() {
 			return // drain: stop accepting; shards finish in-flight work
 		default:
 		}
-		evs, err := s.acceptor.Wait(-1)
-		if err != nil {
+		if _, err := s.acceptor.Wait(-1); err != nil {
 			return
 		}
-		_ = evs
 		if hb != nil {
 			hb.Begin()
 		}
-		for {
-			fd, done, err := reactor.Accept(0, s.lfd)
-			if err != nil {
-				if errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) {
-					// Descriptor exhaustion: recover via the reserve, then
-					// back off. The listener stays readable (level-
-					// triggered) while the table is full, so retrying
-					// immediately would spin the acceptor dry; the gate
-					// trades accept latency for CPU the shards need to
-					// finish responses and free descriptors.
-					s.acceptStats.acceptEMFILE.add(1)
-					s.recoverFDExhaustion(0, s.lfd, &s.reserveFD, s.acceptStats, s.obsAccept)
-					if backoff = s.acceptGate(hb, backoff); backoff < 0 {
-						return // stopping
-					}
-					break
-				}
-				if errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.ENOMEM) {
-					// Transient kernel memory pressure: nothing to free on
-					// our side, just pace the retries.
-					if backoff = s.acceptGate(hb, backoff); backoff < 0 {
-						return
-					}
-					break
-				}
-				return // listener closed
-			}
-			if done {
-				break
-			}
-			if fd < 0 {
-				continue // transient (ECONNABORTED): the peer gave up first
-			}
-			backoff = 0
-			s.acceptStats.accepted.add(1)
-			// Adaptive admission first: the controller's token bucket
-			// paces accepts against its latency target. Shed clients are
-			// told when to come back.
-			if ac := s.cfg.Admission; ac != nil && !ac.Admit() {
-				s.acceptStats.shed.add(1)
-				if v := s.obsAccept; v != nil {
-					v.Record(0, obs.Shed, 0)
-				}
-				shedConn(0, fd, ac.RetryAfterSeconds())
-				continue
-			}
-			// MaxConns stays as the hard ceiling above the controller.
-			if !s.tryAcquireConn() {
-				s.acceptStats.shed.add(1)
-				if v := s.obsAccept; v != nil {
-					v.Record(0, obs.Shed, 0)
-				}
-				shedConn(0, fd, shedRetryAfterSec)
-				continue
-			}
-			w := s.shards[rr%len(s.shards)]
-			rr++
-			w.give(fd)
+		if backoff = s.acceptOne(hb, backoff, &rr); backoff < 0 {
+			return
 		}
 		if hb != nil {
 			hb.End()
 		}
 	}
+}
+
+// acceptOne takes one connection off the shared listener and admits,
+// sheds or hands it to a shard: one accept4(2) per readiness event, the
+// same policy as shard.acceptReady and for the same reason — the
+// listener is level-triggered, so whatever is still queued reports again
+// on the next Wait, and a drain loop's last call only collects EAGAIN.
+// It returns the accept gate's next backoff, negative when the acceptor
+// must exit (listener broken, or stopped while gated).
+func (s *Server) acceptOne(hb *overload.Heartbeat, backoff time.Duration, rr *int) time.Duration {
+	fd, done, err := reactor.Accept(0, s.lfd)
+	if err != nil {
+		if errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) {
+			// Descriptor exhaustion: recover via the reserve, then back
+			// off. The listener stays readable (level-triggered) while the
+			// table is full, so retrying immediately would spin the
+			// acceptor dry; the gate trades accept latency for CPU the
+			// shards need to finish responses and free descriptors.
+			s.acceptStats.acceptEMFILE.add(1)
+			s.recoverFDExhaustion(0, s.lfd, &s.reserveFD, s.acceptStats, s.obsAccept)
+			return s.acceptGate(hb, backoff)
+		}
+		if errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.ENOMEM) {
+			// Transient kernel memory pressure: nothing to free on our
+			// side, just pace the retries.
+			return s.acceptGate(hb, backoff)
+		}
+		return -1 // listener closed
+	}
+	if done || fd < 0 {
+		return backoff // nothing pending, or ECONNABORTED: the peer gave up first
+	}
+	s.acceptStats.accepted.add(1)
+	// Adaptive admission first: the controller's token bucket paces
+	// accepts against its latency target. Shed clients are told when to
+	// come back.
+	if ac := s.cfg.Admission; ac != nil && !ac.Admit() {
+		s.acceptStats.shed.add(1)
+		if v := s.obsAccept; v != nil {
+			v.Record(0, obs.Shed, 0)
+		}
+		shedConn(0, fd, ac.RetryAfterSeconds())
+		return 0
+	}
+	// MaxConns stays as the hard ceiling above the controller.
+	if !s.tryAcquireConn() {
+		s.acceptStats.shed.add(1)
+		if v := s.obsAccept; v != nil {
+			v.Record(0, obs.Shed, 0)
+		}
+		shedConn(0, fd, shedRetryAfterSec)
+		return 0
+	}
+	s.shards[*rr%len(s.shards)].give(fd)
+	*rr++
+	return 0
 }
 
 // shedRetryAfterSec is the Retry-After advertised on sheds not governed
@@ -804,7 +802,13 @@ type conn struct {
 	// flush). Only the invariant build reads it.
 	corked  bool
 	closing bool // close once out drains (400, Connection: close, or the peer half-closed)
-	closed  bool // torn down; output must never be queued again
+	// peerDone is whether the peer owes us nothing more: it half-closed,
+	// or a completely parsed request asked for the close and the read that
+	// brought it left the socket and the parser empty. Only then may the
+	// close itself push the last segment (see flush): close(2) on a socket
+	// with unread input resets the connection and purges what is unsent.
+	peerDone bool
+	closed   bool // torn down; output must never be queued again
 	// wheeled marks the connection as filed in its shard's timer wheel
 	// (at most one entry per connection; see wheel.go).
 	wheeled bool
@@ -919,6 +923,21 @@ type shard struct {
 	fbuf []byte
 	//nio:loop-owned
 	reqs []*httpwire.Request
+	// now is the loop's clock: read once per iteration, when Wait
+	// returns, and used for every stamp whose consumer is a timeout or
+	// the accept gate (lastActive, headerStart, the wheel, gateUntil).
+	// It runs behind the wall clock by at most the batch being handled.
+	//nio:loop-owned
+	now time.Time
+	// free holds torn-down conn structs for adopt to reuse, each with
+	// its head arena; retired holds the ones torn down in the current
+	// event batch, which join free only when the batch is over — so a
+	// struct can never come back, on a recycled fd number, while a
+	// caller up the stack still compares it against the table.
+	//nio:loop-owned
+	free []*conn
+	//nio:loop-owned
+	retired []*conn
 	// draining is set once the server enters Drain: no new reads, flush
 	// pending output, close as connections empty.
 	//nio:loop-owned
@@ -973,8 +992,9 @@ func newShard(s *Server, idx int) (*shard, error) {
 		reserve: -1,
 		conns:   make(map[int]*conn),
 		buf:     make([]byte, s.cfg.ReadBuf),
-		wheel:   newTimerWheel(s.cfg, time.Now()),
+		now:     time.Now(),
 	}
+	w.wheel = newTimerWheel(s.cfg, w.now)
 	if s.fanout {
 		w.ring = newSPSCRing(4096)
 	} else {
@@ -1051,26 +1071,25 @@ func (w *shard) loop() {
 		if w.draining && len(w.conns) == 0 {
 			return // drained: every in-flight response has flushed
 		}
-		now := time.Now()
-		w.reArmAccept(now)
+		w.reArmAccept(w.now)
 		// The poller wait is a legitimate park, not work: close the
 		// heartbeat span so an idle loop is never mistaken for a wedge.
 		if w.hb != nil {
 			w.hb.End()
 		}
-		evs, err := w.poller.Wait(w.waitMs(now))
+		evs, err := w.poller.Wait(w.waitMs(w.now))
 		if err != nil {
 			return
 		}
 		if w.hb != nil {
 			w.hb.Begin()
 		}
-		now = time.Now()
-		w.advanceWheel(now)
+		w.now = time.Now()
+		w.advanceWheel(w.now)
 		for _, ev := range evs {
 			if w.lfd >= 0 && ev.FD == w.lfd {
 				if !w.draining {
-					w.acceptReady(now)
+					w.acceptReady()
 				}
 				continue
 			}
@@ -1088,6 +1107,11 @@ func (w *shard) loop() {
 			if c2, still := w.conns[ev.FD]; still && c2 == c && ev.Writable {
 				w.writable(c)
 			}
+		}
+		if len(w.retired) > 0 {
+			w.free = append(w.free, w.retired...)
+			clear(w.retired)
+			w.retired = w.retired[:0]
 		}
 	}
 }
@@ -1115,61 +1139,65 @@ func (w *shard) waitMs(now time.Time) int {
 	return ms
 }
 
-// acceptReady drains this shard's own listener — the reuseport accept
-// path, running ON the event loop, so every error is absorbed without
-// ever blocking: exhaustion gates the listener (poller removal + timed
-// re-add), it never sleeps.
-func (w *shard) acceptReady(now time.Time) {
+// acceptReady takes one connection off this shard's own listener — the
+// reuseport accept path, running ON the event loop, so every error is
+// absorbed without ever blocking: exhaustion gates the listener (poller
+// removal + timed re-add), it never sleeps.
+//
+// One accept4(2) per readiness event, not a drain to EAGAIN (nginx's
+// default, multi_accept off): the listener is level-triggered, so a
+// connection still queued reports again on the next Wait. A drain's
+// last call only ever collects EAGAIN, which costs about three times a
+// ready epoll_wait here (1.8 us against 0.6 us of server CPU), so
+// draining pays only when more than about three connections are queued
+// per wake — and a loop that takes one connection per iteration cannot
+// be kept from its established connections by an accept storm.
+func (w *shard) acceptReady() {
 	s := w.srv
-	for {
-		fd, done, err := reactor.Accept(w.lane, w.lfd)
-		if err != nil {
-			if errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) {
-				w.stats.acceptEMFILE.add(1)
-				s.recoverFDExhaustion(w.lane, w.lfd, &w.reserve, w.stats, w.obs)
-				w.gateAccept(now)
-				return
-			}
-			if errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.ENOMEM) {
-				w.gateAccept(now)
-				return
-			}
-			// Listener broken: drop it. The shard keeps serving its
-			// existing connections; its siblings keep accepting.
-			if !w.acceptGated {
-				w.poller.Remove(w.lfd)
-			}
-			reactor.CloseFD(w.lane, w.lfd)
-			w.lfd = -1
-			w.acceptGated = false
+	fd, done, err := reactor.Accept(w.lane, w.lfd)
+	if err != nil {
+		if errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) {
+			w.stats.acceptEMFILE.add(1)
+			s.recoverFDExhaustion(w.lane, w.lfd, &w.reserve, w.stats, w.obs)
+			w.gateAccept(w.now)
 			return
 		}
-		if done {
+		if errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.ENOMEM) {
+			w.gateAccept(w.now)
 			return
 		}
-		if fd < 0 {
-			continue // transient (ECONNABORTED): the peer gave up first
+		// Listener broken: drop it. The shard keeps serving its
+		// existing connections; its siblings keep accepting.
+		if !w.acceptGated {
+			w.poller.Remove(w.lfd)
 		}
-		w.gateBackoff = 0
-		w.stats.accepted.add(1)
-		if ac := s.cfg.Admission; ac != nil && !ac.Admit() {
-			w.stats.shed.add(1)
-			if v := w.obs; v != nil {
-				v.Record(0, obs.Shed, 0)
-			}
-			shedConn(w.lane, fd, ac.RetryAfterSeconds())
-			continue
-		}
-		if !s.tryAcquireConn() {
-			w.stats.shed.add(1)
-			if v := w.obs; v != nil {
-				v.Record(0, obs.Shed, 0)
-			}
-			shedConn(w.lane, fd, shedRetryAfterSec)
-			continue
-		}
-		w.adopt(fd, now)
+		reactor.CloseFD(w.lane, w.lfd)
+		w.lfd = -1
+		w.acceptGated = false
+		return
 	}
+	if done || fd < 0 {
+		return // nothing pending, or ECONNABORTED: the peer gave up first
+	}
+	w.gateBackoff = 0
+	w.stats.accepted.add(1)
+	if ac := s.cfg.Admission; ac != nil && !ac.Admit() {
+		w.stats.shed.add(1)
+		if v := w.obs; v != nil {
+			v.Record(0, obs.Shed, 0)
+		}
+		shedConn(w.lane, fd, ac.RetryAfterSeconds())
+		return
+	}
+	if !s.tryAcquireConn() {
+		w.stats.shed.add(1)
+		if v := w.obs; v != nil {
+			v.Record(0, obs.Shed, 0)
+		}
+		shedConn(w.lane, fd, shedRetryAfterSec)
+		return
+	}
+	w.adopt(fd, w.now)
 }
 
 // gateAccept pauses this shard's accepting after a resource-exhausted
@@ -1208,28 +1236,57 @@ func (w *shard) reArmAccept(now time.Time) {
 	}
 }
 
+// maxFreeConns bounds a shard's free list (free and retired together):
+// what a burst of closes leaves beyond it goes to the collector.
+const maxFreeConns = 256
+
 // adopt registers a freshly accepted (or ring-delivered) connection
 // with this shard: conn state, poller interest, observability birth
 // events, and its first timer-wheel deadline. at is the accept stamp;
 // for ring deliveries the gap to now is the fan-out ride the
 // queue-wait phase accounts for.
 func (w *shard) adopt(fd int, at time.Time) {
-	now := time.Now()
-	c := &conn{fd: fd, lastActive: now, headerStart: now, acceptedAt: at}
-	c.outBase = c.outInline[:0]
-	c.out = c.outBase
+	v := w.obs
+	var waited time.Duration
+	if v != nil {
+		waited = time.Since(at) // its own read: the ring ride crosses threads
+	}
 	if err := w.poller.Add(fd, true, false); err != nil {
 		reactor.CloseFD(w.lane, fd)
 		w.srv.connsOpen.add(-1)
 		return
 	}
+	var c *conn
+	if n := len(w.free); n > 0 {
+		c = w.free[n-1]
+		w.free[n-1] = nil
+		w.free = w.free[:n-1]
+		*c = conn{hbuf: c.hbuf[:0]}
+	} else {
+		c = new(conn)
+	}
+	c.fd, c.lastActive, c.headerStart, c.acceptedAt = fd, w.now, w.now, at
+	c.outBase = c.outInline[:0]
+	c.out = c.outBase
 	w.conns[fd] = c
-	if v := w.obs; v != nil {
+	if v != nil {
 		c.obsID = v.NextConnID()
 		v.Record(c.obsID, obs.Accept, 0)
-		v.Record(c.obsID, obs.QueueWait, now.Sub(at))
+		v.Record(c.obsID, obs.QueueWait, waited)
 	}
-	w.scheduleTimeout(c, now)
+	w.scheduleTimeout(c, w.now)
+}
+
+// retire ends a torn-down connection's user-space life: its docroot
+// references go back and the struct, with its head arena, waits for the
+// event batch to end before adopt may reuse it (see shard.retired). One
+// still filed in the timer wheel is left there; fireSlot retires it when
+// its slot comes round.
+func (w *shard) retire(c *conn) {
+	releaseOut(c)
+	if !c.wheeled && len(w.free)+len(w.retired) < maxFreeConns {
+		w.retired = append(w.retired, c)
+	}
 }
 
 // assertInterest checks the reactor's connection table against the
@@ -1343,8 +1400,11 @@ func (w *shard) drainInbox() {
 // nothing.
 func (w *shard) readable(c *conn) {
 	v := w.obs
-	c.lastActive = time.Now()
-	halfClosed := false
+	c.lastActive = w.now
+	// halfClosed: the peer sent its FIN. askedClose: a request parsed in
+	// this wake asked for the close. emptied: the last read came back
+	// short (or EAGAIN), so the socket's receive queue was empty then.
+	halfClosed, askedClose, emptied := false, false, false
 	for {
 		n, eof, again, err := reactor.Read(w.lane, c.fd, w.buf)
 		if err != nil {
@@ -1364,6 +1424,7 @@ func (w *shard) readable(c *conn) {
 			break
 		}
 		if again {
+			emptied = true
 			break
 		}
 		if v != nil && n > 0 && c.reqStart.IsZero() {
@@ -1399,6 +1460,7 @@ func (w *shard) readable(c *conn) {
 				v.Record(c.obsID, obs.Handler, now.Sub(c.handlerStart))
 				c.serveDone = now
 			}
+			askedClose = askedClose || !req.KeepAlive
 		}
 		if panicked {
 			// The isolation path queued a 500 and marked the connection
@@ -1413,9 +1475,13 @@ func (w *shard) readable(c *conn) {
 			break
 		}
 		if n < len(w.buf) {
+			emptied = true
 			break
 		}
 	}
+	// A panic or a parse error left the loop before emptied was set: what
+	// the peer still has in flight behind either is unknown.
+	c.peerDone = halfClosed || (askedClose && emptied && !c.parser.Pending())
 	// Header clock: a buffered partial request keeps (or starts) the
 	// clock; a clean boundary stops it — between requests only the idle
 	// policy applies.
@@ -1435,7 +1501,7 @@ func (w *shard) readable(c *conn) {
 			// the loop parks until the socket drains.
 			_ = w.poller.Modify(c.fd, false, true)
 		}
-		w.scheduleTimeout(c, time.Now())
+		w.scheduleTimeout(c, w.now)
 	}
 }
 
@@ -1608,10 +1674,22 @@ const sendfileChunk = 512 << 10
 // the write that completes the reply pushes. Header and body so leave
 // as one segment and wake the reader once, at the same syscall count,
 // while a finished reply is never held back for the next one in a
-// pipelined batch. The flag depends only on the queue (outSeg.eor), a
-// flagged segment always has its successor queued behind it, and every
-// exit that leaves a flagged write last either closes the socket or has
-// EPOLLOUT armed, so no cork is left to the kernel's 200 ms timer.
+// pipelined batch.
+//
+// The third clause corks through the close: the write of the queue's
+// last segment is flagged too when the connection closes the moment the
+// queue drains AND the peer owes us nothing (conn.peerDone) — close(2)
+// then sets the FIN on the held segment, so a Connection: close reply
+// and its FIN leave as one segment and wake the client once. Every
+// other close (400, 500, handler panic, drain with input unread) pushes
+// first: close(2) on a socket with unread input sends a reset and
+// purges what is unsent, and a corked reply would be lost with it.
+//
+// The flag depends only on the queue (outSeg.eor) and on what readable
+// learnt of the peer, a flagged segment always has its successor — a
+// segment or the close — behind it, and every exit that leaves a
+// flagged write last either closes the socket or has EPOLLOUT armed, so
+// no cork is left to the kernel's 200 ms timer.
 //
 //nio:hot
 func (w *shard) flush(c *conn) {
@@ -1678,7 +1756,7 @@ func (w *shard) flush(c *conn) {
 			continue
 		}
 		head := seg.buf[c.outOff:]
-		n, again, err := w.write(c, head, !seg.eor)
+		n, again, err := w.write(c, head, !seg.eor || c.finRides())
 		if err != nil {
 			if errors.Is(err, syscall.ENOBUFS) {
 				// Transient kernel buffer exhaustion is a stall, not a
@@ -1729,8 +1807,16 @@ func (w *shard) flush(c *conn) {
 	}
 }
 
+// finRides reports whether the segment at the head of the queue is the
+// connection's last and its close may do the pushing (the cork rule's
+// third clause, see flush).
+//
+//nio:hot
+func (c *conn) finRides() bool { return c.peerDone && c.closing && len(c.out) == 1 }
+
 // write is one non-blocking write of p to c's socket; more says p does
-// not complete its reply (the cork rule, see flush).
+// not complete its reply, or that the close right behind it will push it
+// (the cork rule, see flush).
 //
 //nio:hot
 func (w *shard) write(c *conn, p []byte, more bool) (n int, again bool, err error) {
@@ -1775,7 +1861,7 @@ func (w *shard) flushFallback(c *conn, seg *outSeg, v *obs.View) bool {
 		w.closeConn(c)
 		return false
 	}
-	more := seg.off+int64(rn) < seg.end // a file range always ends its reply
+	more := seg.off+int64(rn) < seg.end || c.finRides() // a file range always ends its reply
 	n, again, err := w.write(c, chunk[:rn], more)
 	if err != nil {
 		if errors.Is(err, syscall.ENOBUFS) {
@@ -1836,7 +1922,7 @@ func (w *shard) armWrite(c *conn) {
 func (w *shard) writable(c *conn) {
 	w.flush(c)
 	if c2, still := w.conns[c.fd]; still && c2 == c {
-		w.scheduleTimeout(c, time.Now())
+		w.scheduleTimeout(c, w.now)
 	}
 }
 
@@ -1853,7 +1939,7 @@ func (w *shard) resetConn(c *conn) {
 		v.Record(c.obsID, obs.Close, 0)
 	}
 	w.uncount()
-	releaseOut(c)
+	w.retire(c)
 }
 
 func (w *shard) closeConn(c *conn) {
@@ -1868,7 +1954,7 @@ func (w *shard) closeConn(c *conn) {
 		v.Record(c.obsID, obs.Close, 0)
 	}
 	w.uncount()
-	releaseOut(c)
+	w.retire(c)
 }
 
 // uncount gives a torn-down connection's connsOpen slot back.
@@ -1915,5 +2001,8 @@ func releaseOut(c *conn) {
 			c.out[i].ent = nil
 		}
 	}
-	c.out, c.outBase, c.hbuf = nil, nil, nil
+	c.out, c.outBase = nil, nil
+	if cap(c.hbuf) > headArenaKeep {
+		c.hbuf = nil
+	}
 }

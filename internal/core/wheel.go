@@ -149,6 +149,7 @@ func (w *shard) fireSlot(now time.Time) {
 		c.wheeled = false
 		wh.count--
 		if c.closed {
+			w.retire(c) // closeConn left it to the wheel
 			continue
 		}
 		w.expireConn(c, now)

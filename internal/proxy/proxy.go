@@ -334,6 +334,11 @@ type dconn struct {
 	// replies. Read interest is dropped; the connection closes once
 	// everything it asked for has been relayed and flushed.
 	eof bool
+	// peerDone: the client owes us nothing more — it half-closed, or a
+	// completely parsed request asked for the close and the read that
+	// brought it left the socket and the parser empty. Only then may the
+	// close push the last reply segment (see flushD); core's conn.peerDone.
+	peerDone bool
 
 	obsID      uint64
 	acceptedAt time.Time
@@ -704,7 +709,7 @@ func (s *Server) loop() {
 		}
 		for _, ev := range evs {
 			if ev.FD == s.lfd && !s.lfdClosed {
-				if !s.acceptAll() {
+				if !s.acceptReady() {
 					return
 				}
 				continue
@@ -769,7 +774,10 @@ func (s *Server) teardown() {
 // Downstream (client) side
 // ---------------------------------------------------------------------
 
-// acceptAll drains the accept queue. Returns false if the listener died.
+// acceptReady takes one connection off the listener: one accept4(2) per
+// readiness event, core's policy (shard.acceptReady has the arithmetic)
+// — the listener is level-triggered and reports again on the next Wait.
+// Returns false if the listener died.
 //
 // Resource exhaustion is not death: EMFILE/ENFILE runs the reserve-fd
 // recovery (free a slot, 503 the connection the kernel is holding) and
@@ -777,58 +785,54 @@ func (s *Server) teardown() {
 // accept gate instead of killing the event loop, because the relays
 // already in flight still deserve service while the process waits for
 // descriptors to come back.
-func (s *Server) acceptAll() bool {
-	for {
-		fd, done, err := reactor.Accept(s.lane, s.lfd)
-		if err != nil {
-			switch {
-			case errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE):
-				s.acceptEM.add(1)
-				s.recoverFDExhaustion()
-				s.gateAccepts()
-				return true
-			case errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.ENOMEM):
-				s.gateAccepts()
-				return true
-			}
-			return false
-		}
-		if done {
+func (s *Server) acceptReady() bool {
+	fd, done, err := reactor.Accept(s.lane, s.lfd)
+	if err != nil {
+		switch {
+		case errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE):
+			s.acceptEM.add(1)
+			s.recoverFDExhaustion()
+			s.gateAccepts()
+			return true
+		case errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.ENOMEM):
+			s.gateAccepts()
 			return true
 		}
-		if fd < 0 {
-			continue // ECONNABORTED: the peer gave up while queued
-		}
-		s.acceptBackoff = 0
-		s.accepted.add(1)
-		if ac := s.cfg.Admission; ac != nil && !ac.Admit() {
-			s.shed.add(1)
-			if pl := s.obs; pl != nil {
-				pl.Record(pl.NextConnID(), obs.Shed, 0)
-			}
-			shedVia(s.lane, fd, ac.RetryAfterSeconds())
-			continue
-		}
-		if int(s.connsOpen.get()) >= s.cfg.MaxConns {
-			s.shed.add(1)
-			if pl := s.obs; pl != nil {
-				pl.Record(pl.NextConnID(), obs.Shed, 0)
-			}
-			shedVia(s.lane, fd, s.cfg.RetryAfterSec)
-			continue
-		}
-		if err := s.poller.Add(fd, true, false); err != nil {
-			reactor.CloseFD(s.lane, fd)
-			continue
-		}
-		d := &dconn{fd: fd, peer: peerIP(fd), acceptedAt: time.Now()}
-		if pl := s.obs; pl != nil {
-			d.obsID = pl.NextConnID()
-			pl.Record(d.obsID, obs.Accept, 0)
-		}
-		s.dconns[fd] = d
-		s.connsOpen.add(1)
+		return false
 	}
+	if done || fd < 0 {
+		return true // nothing pending, or ECONNABORTED: the peer gave up while queued
+	}
+	s.acceptBackoff = 0
+	s.accepted.add(1)
+	if ac := s.cfg.Admission; ac != nil && !ac.Admit() {
+		s.shed.add(1)
+		if pl := s.obs; pl != nil {
+			pl.Record(pl.NextConnID(), obs.Shed, 0)
+		}
+		shedVia(s.lane, fd, ac.RetryAfterSeconds())
+		return true
+	}
+	if int(s.connsOpen.get()) >= s.cfg.MaxConns {
+		s.shed.add(1)
+		if pl := s.obs; pl != nil {
+			pl.Record(pl.NextConnID(), obs.Shed, 0)
+		}
+		shedVia(s.lane, fd, s.cfg.RetryAfterSec)
+		return true
+	}
+	if err := s.poller.Add(fd, true, false); err != nil {
+		reactor.CloseFD(s.lane, fd)
+		return true
+	}
+	d := &dconn{fd: fd, peer: peerIP(fd), acceptedAt: time.Now()}
+	if pl := s.obs; pl != nil {
+		d.obsID = pl.NextConnID()
+		pl.Record(d.obsID, obs.Accept, 0)
+	}
+	s.dconns[fd] = d
+	s.connsOpen.add(1)
+	return true
 }
 
 // recoverFDExhaustion is the reserve-descriptor dance: close the
@@ -906,9 +910,13 @@ func peerIP(fd int) string {
 // request. One read(2) per wake unless it filled the buffer: the poller
 // is level-triggered, so the rest reports again on the next Wait.
 func (s *Server) dReadable(d *dconn) {
+	// askedClose: a request admitted in this wake asked for the close;
+	// emptied: the last read came back short, the receive queue was empty.
+	askedClose, emptied := false, false
 	for {
 		n, eof, again, err := reactor.Read(s.lane, d.fd, s.buf)
 		if again {
+			emptied = true
 			break
 		}
 		if err != nil {
@@ -938,16 +946,22 @@ func (s *Server) dReadable(d *dconn) {
 			if !s.admitRequest(d, req) {
 				break
 			}
+			askedClose = askedClose || !req.KeepAlive
 		}
 		if perr != nil {
 			s.badRequest.add(1)
 			s.respondLocal(d, 400, nil)
 			break
 		}
-		if d.closing || n < len(s.buf) {
+		if d.closing {
+			break
+		}
+		if n < len(s.buf) {
+			emptied = true
 			break
 		}
 	}
+	d.peerDone = d.eof || (askedClose && emptied && !d.parser.Pending())
 	s.pump(d)
 	s.flushD(d)
 }
@@ -1264,23 +1278,38 @@ func (s *Server) respondLocal(d *dconn, code int, extra []httpwire.Header) {
 	head := httpwire.AppendResponseHeaderExtra(nil, code, "text/plain", 0, false, hdrs...)
 	d.out = append(d.out, head)
 	d.closing = true
+	d.peerDone = false // what the client sent behind the failed request may be unread
 	d.dropPending()
 	s.flushD(d)
 }
 
-// write is one non-blocking write on either leg. ENOBUFS reads as
+// write is one non-blocking write on either leg; more says a close that
+// will push b is right behind it (see flushD). ENOBUFS reads as
 // "again": transient kernel buffer exhaustion is a stall (keep the
 // queue, wait for writability), not a failure — as in core's flush.
 //
 //nio:hot
-func (s *Server) write(fd int, b []byte) (n int, again bool, err error) {
-	n, again, err = reactor.Write(s.lane, fd, b)
+func (s *Server) write(fd int, b []byte, more bool) (n int, again bool, err error) {
+	if more {
+		n, again, err = reactor.WriteMore(s.lane, fd, b)
+	} else {
+		n, again, err = reactor.Write(s.lane, fd, b)
+	}
 	if errors.Is(err, syscall.ENOBUFS) {
 		return 0, true, nil
 	}
 	return n, again, err
 }
 
+// flushD writes the client's queued output. Core's cork through the
+// close applies to a clean one: the last segment of a relayed reply goes
+// out with MSG_MORE when the connection closes the moment the queue
+// drains and the client owes us nothing (dconn.peerDone), so close(2)
+// sets the FIN on it. Local error responses and sheds push first — the
+// input behind them may be unread, and close(2) would then reset the
+// connection and purge a held reply. A flagged write that falls short
+// leaves EPOLLOUT armed, so no cork waits on the kernel's 200 ms timer.
+//
 //nio:hot
 func (s *Server) flushD(d *dconn) {
 	if _, open := s.dconns[d.fd]; !open {
@@ -1288,7 +1317,9 @@ func (s *Server) flushD(d *dconn) {
 	}
 	for len(d.out) > 0 {
 		seg := d.out[d.outHead][d.outOff:]
-		n, again, err := s.write(d.fd, seg)
+		finRides := d.peerDone && (d.closing || d.eof) && d.active == nil &&
+			len(d.pending) == 0 && d.outHead == len(d.out)-1
+		n, again, err := s.write(d.fd, seg, finRides)
 		if err != nil {
 			s.closeD(d)
 			return
@@ -1425,7 +1456,7 @@ func (s *Server) uWritable(u *uconn) {
 //nio:hot
 func (s *Server) writeUpstream(u *uconn) {
 	for u.wOff < len(u.pendingWrite) {
-		n, again, err := s.write(u.fd, u.pendingWrite[u.wOff:])
+		n, again, err := s.write(u.fd, u.pendingWrite[u.wOff:], false)
 		if err != nil {
 			s.upstreamFailed(u, err)
 			return

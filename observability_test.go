@@ -18,7 +18,10 @@ package repro
 // the tight per-request comparison.
 
 import (
+	"bufio"
 	"io"
+	"math"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -279,23 +282,30 @@ func TestObservabilityUnderLoad(t *testing.T) {
 	}
 }
 
-// TestObservabilityOverheadGate compares goodput with tracing enabled
-// and disabled, interleaving trials to decorrelate machine noise. The
-// gate is intentionally loose (enabled must stay above 75% of disabled):
-// the tight 5% budget the plane is designed to meet is enforced by
-// BenchmarkDocrootDelivery's traced modes, where per-request cost is
-// measured without a wall-clock goodput proxy in the middle.
+// TestObservabilityOverheadGate holds the recorder to its budget by
+// counting, not by racing two timed windows against each other: a fixed
+// amount of work (one keep-alive connection, overheadReplies requests
+// one at a time) is run once plain and once traced, and the plane's
+// cost is what it did — Record calls per reply, an exact count — times
+// what one Record costs, timed in-process in a tight loop (the fastest
+// of several batches, so a descheduled batch cannot inflate it), set
+// against the plain run's time per reply. A loaded host stretches that
+// baseline and so only loosens the gate; the count is pinned exactly,
+// and that pin is what catches a new recording site on the hot path.
+// The percentage itself, on dedicated CPUs, is bench's
+// obs.overhead_pct.
 func TestObservabilityOverheadGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("overhead gate needs quiet multi-second windows; run without -short")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation distorts the overhead ratio; the race run asserts correctness, not cost")
-	}
-	const trials = 3
-	const window = 400 * time.Millisecond
-	run := func(pl *obs.Plane) float64 {
+	const (
+		overheadReplies = 4000
+		// header-read, parse, handler, write-complete per reply; accept,
+		// queue-wait, first-byte and close once for the connection.
+		recordsPerReply = 4
+		recordsPerConn  = 4
+		gatePct         = 5.0
+	)
+	fixedWork := func(pl *obs.Plane) time.Duration {
 		cfg := core.DefaultConfig(robustStore())
+		cfg.Shards = 1
 		cfg.Obs = pl
 		s, err := core.NewServer(cfg)
 		if err != nil {
@@ -305,25 +315,64 @@ func TestObservabilityOverheadGate(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Stop()
-		return measureGoodput(t, s.Addr(), 8, window)
-	}
-	var plain, traced []float64
-	for i := 0; i < trials; i++ {
-		plain = append(plain, run(nil))
-		traced = append(traced, run(obs.NewPlane(1<<12)))
-	}
-	best := func(xs []float64) float64 {
-		m := xs[0]
-		for _, x := range xs[1:] {
-			if x > m {
-				m = x
+		c, err := net.DialTimeout("tcp", s.Addr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SetDeadline(time.Now().Add(60 * time.Second))
+		br := bufio.NewReader(c)
+		begin := time.Now()
+		for i := 0; i < overheadReplies; i++ {
+			if _, err := io.WriteString(c, "GET /hello HTTP/1.1\r\nHost: sut\r\n\r\n"); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatalf("reply %d: %v", i, err)
+			}
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.StatusCode != 200 {
+				t.Fatalf("reply %d: status %d, body err %v", i, resp.StatusCode, err)
 			}
 		}
-		return m
+		elapsed := time.Since(begin)
+		c.Close()
+		waitUntil(t, 5*time.Second, func() bool { return s.Stats().ConnsOpen == 0 }, "the connection to close")
+		if got := s.Stats().Replies; got != overheadReplies {
+			t.Fatalf("replies = %d, want %d", got, overheadReplies)
+		}
+		return elapsed
 	}
-	p, tr := best(plain), best(traced)
-	t.Logf("goodput: plain=%.0f/s traced=%.0f/s (%.1f%%)", p, tr, 100*tr/p)
-	if tr < 0.75*p {
-		t.Fatalf("tracing overhead too high: traced %.0f/s vs plain %.0f/s", tr, p)
+	plain := fixedWork(nil)
+	pl := obs.NewPlane(1 << 12)
+	fixedWork(pl)
+	var records int64
+	for k := 0; k < obs.NumKinds; k++ {
+		records += pl.Count(obs.Kind(k))
+	}
+	if want := int64(overheadReplies*recordsPerReply + recordsPerConn); records != want {
+		t.Errorf("the traced run made %d Record calls for %d replies on one connection, want exactly %d (%d per reply + %d per connection)",
+			records, overheadReplies, want, recordsPerReply, recordsPerConn)
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation multiplies the cost of a Record; the count above is what the race run checks")
+	}
+	// One Record, timed where nothing but the recorder runs.
+	const batch = 100_000
+	v := obs.NewPlane(1 << 12).View(0)
+	recordNs := math.Inf(1)
+	for b := 0; b < 5; b++ {
+		begin := time.Now()
+		for i := 0; i < batch; i++ {
+			v.Record(1, obs.Handler, time.Microsecond)
+		}
+		recordNs = math.Min(recordNs, float64(time.Since(begin).Nanoseconds())/batch)
+	}
+	perReplyNs := float64(plain.Nanoseconds()) / overheadReplies
+	pct := 100 * float64(records) / overheadReplies * recordNs / perReplyNs
+	t.Logf("%.2f records per reply x %.0f ns per Record = %.0f ns against %.0f ns per plain reply: %.1f%%",
+		float64(records)/overheadReplies, recordNs, float64(records)/overheadReplies*recordNs, perReplyNs, pct)
+	if pct > gatePct {
+		t.Fatalf("recording costs %.1f%% of a reply, gate %.0f%%", pct, gatePct)
 	}
 }
