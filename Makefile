@@ -109,7 +109,7 @@ proxy-test:
 # both servers and the proxy tier, with offline-replay determinism
 # checks (~5 s). Set SYSFAULT_SEED to vary the injection seed.
 sysfault:
-	go test -race -count=1 -v -run 'TestSysfault' .
+	go test -race -count=1 -v -run 'TestSysfault|TestAcceptPendingNetworkError' .
 	go test -race -count=1 ./internal/sysfault/
 
 # Live showcase of the fault seam: the nio server under a mixed

@@ -243,20 +243,19 @@ func (b *statBlock) addInto(st *Stats) {
 type Server struct {
 	cfg  Config
 	port int
-	// lfd is the shared listener under fan-out; -1 in reuseport mode,
-	// where each shard owns its own listening socket instead.
-	lfd int
-	// shardLfds holds the per-shard SO_REUSEPORT listeners between
-	// NewServer and Start (Start hands them to the shards; a Stop
-	// before Start closes them here).
-	shardLfds []int
+	// lns are the listeners bound in NewServer: one per shard in
+	// reuseport mode, each armed by its shard on its own poller, or the
+	// single shared one under fan-out, armed by Start on the acceptor's.
+	lns []*reactor.Listener
 	// fanout records the accept topology actually in effect: true for
 	// the single-acceptor path (legacy Workers mode, forced
 	// AcceptFanout, or SO_REUSEPORT unavailable).
 	fanout  bool
 	started bool
 
-	shards    []*shard
+	shards []*shard
+	// acceptor is the fan-out acceptor thread's poller; nil in reuseport
+	// mode, where shards accept.
 	acceptor  *reactor.Poller
 	wg        sync.WaitGroup
 	stopping  chan struct{}
@@ -273,13 +272,6 @@ type Server struct {
 	acceptStats *statBlock
 	// obsAccept is the acceptor's observability view (shard-0 block).
 	obsAccept *obs.View
-
-	// reserveFD is one descriptor held on /dev/null purely so the
-	// acceptor can close it to free a slot when accept(2) reports
-	// EMFILE, accept-and-503 the pending connection, and re-arm.
-	// Owned by the acceptor thread once Start has run; in reuseport
-	// mode each shard holds its own reserve instead.
-	reserveFD int
 }
 
 // counter is a tiny atomic counter (avoids importing metrics here).
@@ -303,11 +295,9 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:         cfg,
-		lfd:         -1,
 		stopping:    make(chan struct{}),
 		draining:    make(chan struct{}),
 		acceptStats: &statBlock{},
-		reserveFD:   -1,
 	}
 	if pl := cfg.Obs; pl != nil {
 		s.obsAccept = pl.View(0)
@@ -318,10 +308,10 @@ func NewServer(cfg Config) (*Server, error) {
 		for i := 0; i < cfg.Shards; i++ {
 			lfd, p, err := reactor.ListenReusePort(port, cfg.Backlog)
 			if err != nil {
-				for _, fd := range s.shardLfds {
-					reactor.CloseFD(0, fd)
+				for _, ln := range s.lns {
+					ln.Close()
 				}
-				s.shardLfds = nil
+				s.lns = nil
 				if i == 0 {
 					// SO_REUSEPORT itself may be what failed (old
 					// kernel); the fan-out path needs no such support,
@@ -334,7 +324,8 @@ func NewServer(cfg Config) (*Server, error) {
 				return nil, err
 			}
 			port = p
-			s.shardLfds = append(s.shardLfds, lfd)
+			// Shard i draws its fault decisions from lane i (see newShard).
+			s.lns = append(s.lns, newListener(sysfault.Lane(i), lfd))
 		}
 		if !fanout {
 			s.port = port
@@ -345,29 +336,11 @@ func NewServer(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.lfd = lfd
+		s.lns = []*reactor.Listener{newListener(0, lfd)}
 		s.port = port
-		s.reserveFD = openReserve()
 	}
 	s.fanout = fanout
 	return s, nil
-}
-
-// openReserve opens the fd-exhaustion reserve descriptor (see
-// Server.reserveFD). A failure to open it (-1) only disables the
-// recovery, never the server.
-func openReserve() int {
-	for {
-		fd, err := syscall.Open("/dev/null", syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
-		switch err {
-		case nil:
-			return fd
-		case syscall.EINTR:
-			// a signal is not a reason to run without the reserve
-		default:
-			return -1
-		}
-	}
 }
 
 // Port returns the bound port.
@@ -436,12 +409,11 @@ func (s *Server) tryAcquireConn() bool {
 func (s *Server) Start() error {
 	n := s.cfg.shardCount()
 	fail := func(err error) error {
+		for _, ln := range s.lns {
+			ln.Close() // before the poller it may be armed on
+		}
 		for _, w := range s.shards {
 			w.poller.Close()
-			if w.reserve >= 0 {
-				reactor.CloseFD(w.lane, w.reserve)
-				w.reserve = -1
-			}
 		}
 		s.shards = nil
 		return err
@@ -458,7 +430,7 @@ func (s *Server) Start() error {
 		if err != nil {
 			return fail(err)
 		}
-		if err := ap.Add(s.lfd, true, false); err != nil {
+		if err := s.lns[0].Arm(ap); err != nil {
 			ap.Close()
 			return fail(err)
 		}
@@ -498,20 +470,10 @@ func (s *Server) Stop() {
 	s.stopOnce.Do(func() {
 		close(s.stopping)
 		if !s.started {
-			// Never (fully) started: no thread owns the listeners or
-			// the reserve yet, so they must be closed here or they
-			// leak.
-			if s.lfd >= 0 {
-				reactor.CloseFD(0, s.lfd)
-				s.lfd = -1
-			}
-			for _, fd := range s.shardLfds {
-				reactor.CloseFD(0, fd)
-			}
-			s.shardLfds = nil
-			if s.reserveFD >= 0 {
-				reactor.CloseFD(0, s.reserveFD)
-				s.reserveFD = -1
+			// Never (fully) started: no thread owns the listeners yet,
+			// so they must be closed here or they leak.
+			for _, ln := range s.lns {
+				ln.Close()
 			}
 			return
 		}
@@ -556,27 +518,24 @@ func (s *Server) Drain(timeout time.Duration) bool {
 	return drained
 }
 
-// acceptLoop is the fan-out acceptor thread: it blocks in readiness
-// selection on the shared listener and hands accepted fds to shards
+// acceptLoop is the fan-out acceptor thread: a loop with nothing on its
+// poller but the shared listener, handing accepted fds to shards
 // round-robin over their SPSC rings — the same split the paper's nio
 // server uses (one acceptor + N workers). All its syscalls run on
 // fault lane 0, the legacy deterministic stream.
+//
+//nio:loop
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	defer s.acceptor.Close()
-	defer reactor.CloseFD(0, s.lfd)
-	defer func() {
-		if s.reserveFD >= 0 {
-			reactor.CloseFD(0, s.reserveFD)
-			s.reserveFD = -1
-		}
-	}()
+	ln := s.lns[0]
+	defer ln.Close()
 	var hb *overload.Heartbeat
 	if wd := s.cfg.Watchdog; wd != nil {
 		hb = wd.Register("core-acceptor")
 	}
 	rr := 0
-	backoff := time.Duration(0)
+	now := time.Now()
 	for {
 		select {
 		case <-s.stopping:
@@ -585,92 +544,41 @@ func (s *Server) acceptLoop() {
 			return // drain: stop accepting; shards finish in-flight work
 		default:
 		}
-		if _, err := s.acceptor.Wait(-1); err != nil {
+		// A gated acceptor parks here too, the rest of its backoff as the
+		// timeout (Stop and Drain Wakeup it), outside any heartbeat span:
+		// parked, not wedged.
+		evs, err := s.acceptor.Wait(ln.WaitMs(now, -1))
+		if err != nil {
 			return
 		}
 		if hb != nil {
 			hb.Begin()
 		}
-		if backoff = s.acceptOne(hb, backoff, &rr); backoff < 0 {
-			return
+		now = time.Now()
+		if len(evs) > 0 { // the listener, the only thing registered
+			if fd := s.accept(ln, s.acceptStats, s.obsAccept, now); fd >= 0 {
+				s.shards[rr%len(s.shards)].give(fd, now)
+				rr++
+			}
 		}
 		if hb != nil {
 			hb.End()
 		}
+		if ln.FD() < 0 {
+			return // listener broken: the shards keep serving what is open
+		}
 	}
 }
 
-// acceptOne takes one connection off the shared listener and admits,
-// sheds or hands it to a shard: one accept4(2) per readiness event, the
-// same policy as shard.acceptReady and for the same reason — the
-// listener is level-triggered, so whatever is still queued reports again
-// on the next Wait, and a drain loop's last call only collects EAGAIN.
-// It returns the accept gate's next backoff, negative when the acceptor
-// must exit (listener broken, or stopped while gated).
-func (s *Server) acceptOne(hb *overload.Heartbeat, backoff time.Duration, rr *int) time.Duration {
-	fd, done, err := reactor.Accept(0, s.lfd)
-	if err != nil {
-		if errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) {
-			// Descriptor exhaustion: recover via the reserve, then back
-			// off. The listener stays readable (level-triggered) while the
-			// table is full, so retrying immediately would spin the
-			// acceptor dry; the gate trades accept latency for CPU the
-			// shards need to finish responses and free descriptors.
-			s.acceptStats.acceptEMFILE.add(1)
-			s.recoverFDExhaustion(0, s.lfd, &s.reserveFD, s.acceptStats, s.obsAccept)
-			return s.acceptGate(hb, backoff)
-		}
-		if errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.ENOMEM) {
-			// Transient kernel memory pressure: nothing to free on our
-			// side, just pace the retries.
-			return s.acceptGate(hb, backoff)
-		}
-		return -1 // listener closed
-	}
-	if done || fd < 0 {
-		return backoff // nothing pending, or ECONNABORTED: the peer gave up first
-	}
-	s.acceptStats.accepted.add(1)
-	// Adaptive admission first: the controller's token bucket paces
-	// accepts against its latency target. Shed clients are told when to
-	// come back.
-	if ac := s.cfg.Admission; ac != nil && !ac.Admit() {
-		s.acceptStats.shed.add(1)
-		if v := s.obsAccept; v != nil {
-			v.Record(0, obs.Shed, 0)
-		}
-		shedConn(0, fd, ac.RetryAfterSeconds())
-		return 0
-	}
-	// MaxConns stays as the hard ceiling above the controller.
-	if !s.tryAcquireConn() {
-		s.acceptStats.shed.add(1)
-		if v := s.obsAccept; v != nil {
-			v.Record(0, obs.Shed, 0)
-		}
-		shedConn(0, fd, shedRetryAfterSec)
-		return 0
-	}
-	s.shards[*rr%len(s.shards)].give(fd)
-	*rr++
-	return 0
+// newListener wraps a socket NewServer bound, for the accepting thread
+// on lane: its accept edge, with its own copy of the static 503.
+func newListener(lane sysfault.Lane, lfd int) *reactor.Listener {
+	return reactor.NewListener(lane, lfd, httpwire.NewRefusal(shedRetryAfterSec, ""))
 }
 
 // shedRetryAfterSec is the Retry-After advertised on sheds not governed
 // by an admission controller (the static MaxConns ceiling).
 const shedRetryAfterSec = 1
-
-// shedConn answers an over-limit accept with a best-effort 503 — with
-// Retry-After and Connection: close, so a well-behaved client backs off
-// instead of hammering — and an immediate close. The socket is fresh, so
-// the non-blocking write of the short header virtually always lands in
-// the empty send buffer.
-func shedConn(lane sysfault.Lane, fd int, retryAfterSec int) {
-	resp := httpwire.AppendResponseHeaderExtra(nil, 503, "text/plain", 0, false,
-		httpwire.Header{Name: "Retry-After", Value: strconv.Itoa(retryAfterSec)})
-	_, _, _ = reactor.Write(lane, fd, resp)
-	reactor.CloseFD(lane, fd)
-}
 
 // docrootPressureEvictions is how many cached entries (and so shared
 // file descriptors) the accepting thread asks the docroot to give back
@@ -678,74 +586,53 @@ func shedConn(lane sysfault.Lane, fd int, retryAfterSec int) {
 // dump a warm cache over one transient spike.
 const docrootPressureEvictions = 8
 
-// recoverFDExhaustion is the reserve-descriptor dance: close the
-// reserve to free one slot, accept the connection the kernel is
-// holding, answer it 503 + Retry-After so the client backs off
-// instead of timing out in silence, close it, and re-open the
-// reserve. Without this, the pending connection would sit in the
-// accept queue until a descriptor freed by chance. When a docroot is
-// configured, the cache is also asked to shed a few entries — cached
-// content pins file descriptors, and under EMFILE giving those back
-// attacks the exhaustion itself rather than just the symptom. The
-// caller passes its own lane, listener, reserve slot, counters, and
-// observability view: the fan-out acceptor and every reuseport shard
-// run the identical recovery against their own listener.
-func (s *Server) recoverFDExhaustion(lane sysfault.Lane, lfd int, reserve *int, st *statBlock, v *obs.View) {
-	if dr := s.cfg.Docroot; dr != nil {
-		dr.ShedFDs(docrootPressureEvictions)
-	}
-	if *reserve < 0 {
-		return
-	}
-	reactor.CloseFD(lane, *reserve)
-	*reserve = -1
-	fd, done, err := reactor.Accept(lane, lfd)
-	if err == nil && !done && fd >= 0 {
-		st.shed.add(1)
-		if v != nil {
-			v.Record(0, obs.Shed, 0)
+// accept answers one readiness event on ln (reactor.Listener has the
+// policy) for the accepting thread — a reuseport shard, or the fan-out
+// acceptor — whose counters and view st and v are. It returns the
+// connection to hand off, already holding its connsOpen slot, or -1 when
+// the event produced none: nothing pending, absorbed by the listener, or
+// shed — all counted here.
+func (s *Server) accept(ln *reactor.Listener, st *statBlock, v *obs.View, now time.Time) int {
+	r := ln.Accept(now)
+	if r.FD < 0 {
+		if r.Exhausted {
+			st.acceptEMFILE.add(1)
+			// Cached content pins file descriptors; giving some back
+			// attacks the exhaustion itself rather than just the symptom.
+			if dr := s.cfg.Docroot; dr != nil {
+				dr.ShedFDs(docrootPressureEvictions)
+			}
 		}
-		shedConn(lane, fd, shedRetryAfterSec)
+		if r.Refused {
+			countShed(st, v)
+		}
+		if r.Gated {
+			st.acceptBackoffs.add(1)
+		}
+		return -1
 	}
-	*reserve = openReserve()
+	st.accepted.add(1)
+	// Adaptive admission first: the controller's token bucket paces
+	// accepts against its latency target. Shed clients are told when to
+	// come back.
+	if ac := s.cfg.Admission; ac != nil && !ac.Admit() {
+		countShed(st, v)
+		ln.Refuse(r.FD, httpwire.AppendRefusal(nil, ac.RetryAfterSeconds(), ""))
+		return -1
+	}
+	// MaxConns stays as the hard ceiling above the controller.
+	if !s.tryAcquireConn() {
+		countShed(st, v)
+		ln.Refuse(r.FD, nil)
+		return -1
+	}
+	return r.FD
 }
 
-// Accept-gate backoff bounds: exponential from 5ms, capped at 250ms,
-// reset to zero by any successful accept.
-const (
-	acceptBackoffMin = 5 * time.Millisecond
-	acceptBackoffMax = 250 * time.Millisecond
-)
-
-// acceptGate pauses the fan-out acceptor after a resource-exhausted
-// accept, doubling the pause up to the cap. It returns the next
-// backoff to use, or a negative duration if the server is stopping.
-// The heartbeat span is closed across the pause — a gated acceptor is
-// parked, not wedged, and must not trip the watchdog. (Reuseport
-// shards gate differently — they must never block their event loop —
-// see shard.gateAccept.)
-func (s *Server) acceptGate(hb *overload.Heartbeat, backoff time.Duration) time.Duration {
-	if backoff < acceptBackoffMin {
-		backoff = acceptBackoffMin
-	} else if backoff *= 2; backoff > acceptBackoffMax {
-		backoff = acceptBackoffMax
-	}
-	s.acceptStats.acceptBackoffs.add(1)
-	if hb != nil {
-		hb.End()
-	}
-	defer func() {
-		if hb != nil {
-			hb.Begin()
-		}
-	}()
-	select {
-	case <-s.stopping:
-		return -1
-	case <-s.draining:
-		return -1
-	case <-time.After(backoff):
-		return backoff
+func countShed(st *statBlock, v *obs.View) {
+	st.shed.add(1)
+	if v != nil {
+		v.Record(0, obs.Shed, 0)
 	}
 }
 
@@ -889,8 +776,8 @@ func (c *conn) pop() {
 // shard is one reactor event loop: its own poller (epoll fd + wakeup
 // pipe), its own connection table, timer wheel, scratch buffers,
 // counters, observability view, and deterministic fault lane. In
-// reuseport mode it also owns a listening socket and accepts directly;
-// under fan-out it receives accepted fds over its SPSC ring.
+// reuseport mode it also owns a listener and accepts directly; under
+// fan-out it receives accepted fds over its SPSC ring.
 type shard struct {
 	srv    *Server
 	idx    int
@@ -902,12 +789,9 @@ type shard struct {
 	// counts are shared (lock-free), phase histograms are per-shard
 	// blocks merged at read time. nil when Config.Obs is nil.
 	obs *obs.View
-	// lfd is this shard's own SO_REUSEPORT listener; -1 under fan-out
-	// or once the listener has been closed (drain, fatal accept error).
-	lfd int
-	// reserve is this shard's EMFILE reserve descriptor (reuseport
-	// mode; -1 under fan-out, where the acceptor holds the reserve).
-	reserve int
+	// ln is this shard's own SO_REUSEPORT listener; under fan-out, where
+	// the acceptor thread accepts, one that is closed from birth.
+	ln *reactor.Listener
 	// ring is the SPSC handoff from the acceptor (fan-out mode; nil in
 	// reuseport mode).
 	ring *spscRing
@@ -925,7 +809,7 @@ type shard struct {
 	reqs []*httpwire.Request
 	// now is the loop's clock: read once per iteration, when Wait
 	// returns, and used for every stamp whose consumer is a timeout or
-	// the accept gate (lastActive, headerStart, the wheel, gateUntil).
+	// the accept gate (lastActive, headerStart, the wheel, the gate).
 	// It runs behind the wall clock by at most the batch being handled.
 	//nio:loop-owned
 	now time.Time
@@ -955,17 +839,6 @@ type shard struct {
 	// is configured).
 	//nio:loop-owned
 	wheel *timerWheel
-	// Accept-gate state (reuseport mode): after a resource-exhausted
-	// accept the listener is REMOVED from the interest set and re-added
-	// when the gate expires — the loop must keep serving its existing
-	// connections, so it can never park in a blocking sleep the way the
-	// dedicated acceptor thread does.
-	//nio:loop-owned
-	acceptGated bool
-	//nio:loop-owned
-	gateUntil time.Time
-	//nio:loop-owned
-	gateBackoff time.Duration
 }
 
 func newShard(s *Server, idx int) (*shard, error) {
@@ -983,30 +856,28 @@ func newShard(s *Server, idx int) (*shard, error) {
 		return nil, err
 	}
 	w := &shard{
-		srv:     s,
-		idx:     idx,
-		lane:    lane,
-		poller:  p,
-		stats:   &statBlock{},
-		lfd:     -1,
-		reserve: -1,
-		conns:   make(map[int]*conn),
-		buf:     make([]byte, s.cfg.ReadBuf),
-		now:     time.Now(),
+		srv:    s,
+		idx:    idx,
+		lane:   lane,
+		poller: p,
+		stats:  &statBlock{},
+		conns:  make(map[int]*conn),
+		buf:    make([]byte, s.cfg.ReadBuf),
+		now:    time.Now(),
 	}
 	w.wheel = newTimerWheel(s.cfg, w.now)
+	if pl := s.cfg.Obs; pl != nil {
+		w.obs = pl.View(idx)
+	}
 	if s.fanout {
 		w.ring = newSPSCRing(4096)
+		w.ln = reactor.NewListener(lane, -1, nil)
 	} else {
-		w.lfd = s.shardLfds[idx]
-		if err := p.Add(w.lfd, true, false); err != nil {
+		w.ln = s.lns[idx]
+		if err := w.ln.Arm(p); err != nil {
 			p.Close()
 			return nil, err
 		}
-		w.reserve = openReserve()
-	}
-	if pl := s.cfg.Obs; pl != nil {
-		w.obs = pl.View(idx)
 	}
 	if wd := s.cfg.Watchdog; wd != nil {
 		w.hb = wd.Register(fmt.Sprintf("core-worker-%d", idx))
@@ -1023,10 +894,11 @@ type pendingConn struct {
 }
 
 // give transfers an accepted fd to this shard (called from the acceptor
-// thread; Selector.wakeup semantics). The acceptor has already counted
-// the connection in connsOpen, so every failure path must uncount it.
-func (w *shard) give(fd int) {
-	if !w.ring.push(pendingConn{fd: fd, at: time.Now()}) {
+// thread; Selector.wakeup semantics), stamped with the acceptor's clock.
+// The acceptor has already counted the connection in connsOpen, so every
+// failure path must uncount it.
+func (w *shard) give(fd int, at time.Time) {
+	if !w.ring.push(pendingConn{fd: fd, at: at}) {
 		// Ring overflow: shed the connection rather than block the
 		// acceptor; this mirrors a full pending-registration queue.
 		reactor.CloseFD(0, fd)
@@ -1071,7 +943,6 @@ func (w *shard) loop() {
 		if w.draining && len(w.conns) == 0 {
 			return // drained: every in-flight response has flushed
 		}
-		w.reArmAccept(w.now)
 		// The poller wait is a legitimate park, not work: close the
 		// heartbeat span so an idle loop is never mistaken for a wedge.
 		if w.hb != nil {
@@ -1087,9 +958,9 @@ func (w *shard) loop() {
 		w.now = time.Now()
 		w.advanceWheel(w.now)
 		for _, ev := range evs {
-			if w.lfd >= 0 && ev.FD == w.lfd {
-				if !w.draining {
-					w.acceptReady()
+			if ev.FD == w.ln.FD() {
+				if fd := w.srv.accept(w.ln, w.stats, w.obs, w.now); fd >= 0 {
+					w.adopt(fd, w.now)
 				}
 				continue
 			}
@@ -1117,8 +988,9 @@ func (w *shard) loop() {
 }
 
 // waitMs bounds the poller wait: one wheel tick while timers are
-// pending, the gate remainder while the listener is gated, else block
-// indefinitely (pure event-driven park).
+// pending, the gate remainder while the listener is gated (re-arming it
+// when that has run out), else block indefinitely (pure event-driven
+// park).
 func (w *shard) waitMs(now time.Time) int {
 	ms := -1
 	if wh := w.wheel; wh != nil && wh.count > 0 {
@@ -1127,113 +999,7 @@ func (w *shard) waitMs(now time.Time) int {
 			ms = 1
 		}
 	}
-	if w.acceptGated {
-		g := int(w.gateUntil.Sub(now).Milliseconds()) + 1
-		if g < 1 {
-			g = 1
-		}
-		if ms < 0 || g < ms {
-			ms = g
-		}
-	}
-	return ms
-}
-
-// acceptReady takes one connection off this shard's own listener — the
-// reuseport accept path, running ON the event loop, so every error is
-// absorbed without ever blocking: exhaustion gates the listener (poller
-// removal + timed re-add), it never sleeps.
-//
-// One accept4(2) per readiness event, not a drain to EAGAIN (nginx's
-// default, multi_accept off): the listener is level-triggered, so a
-// connection still queued reports again on the next Wait. A drain's
-// last call only ever collects EAGAIN, which costs about three times a
-// ready epoll_wait here (1.8 us against 0.6 us of server CPU), so
-// draining pays only when more than about three connections are queued
-// per wake — and a loop that takes one connection per iteration cannot
-// be kept from its established connections by an accept storm.
-func (w *shard) acceptReady() {
-	s := w.srv
-	fd, done, err := reactor.Accept(w.lane, w.lfd)
-	if err != nil {
-		if errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) {
-			w.stats.acceptEMFILE.add(1)
-			s.recoverFDExhaustion(w.lane, w.lfd, &w.reserve, w.stats, w.obs)
-			w.gateAccept(w.now)
-			return
-		}
-		if errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.ENOMEM) {
-			w.gateAccept(w.now)
-			return
-		}
-		// Listener broken: drop it. The shard keeps serving its
-		// existing connections; its siblings keep accepting.
-		if !w.acceptGated {
-			w.poller.Remove(w.lfd)
-		}
-		reactor.CloseFD(w.lane, w.lfd)
-		w.lfd = -1
-		w.acceptGated = false
-		return
-	}
-	if done || fd < 0 {
-		return // nothing pending, or ECONNABORTED: the peer gave up first
-	}
-	w.gateBackoff = 0
-	w.stats.accepted.add(1)
-	if ac := s.cfg.Admission; ac != nil && !ac.Admit() {
-		w.stats.shed.add(1)
-		if v := w.obs; v != nil {
-			v.Record(0, obs.Shed, 0)
-		}
-		shedConn(w.lane, fd, ac.RetryAfterSeconds())
-		return
-	}
-	if !s.tryAcquireConn() {
-		w.stats.shed.add(1)
-		if v := w.obs; v != nil {
-			v.Record(0, obs.Shed, 0)
-		}
-		shedConn(w.lane, fd, shedRetryAfterSec)
-		return
-	}
-	w.adopt(fd, w.now)
-}
-
-// gateAccept pauses this shard's accepting after a resource-exhausted
-// accept: the listener leaves the interest set (level-triggered, it
-// would wake the loop hot otherwise) and reArmAccept restores it when
-// the exponential backoff expires. Unlike the acceptor thread's gate
-// this never blocks — the loop keeps serving its connections.
-func (w *shard) gateAccept(now time.Time) {
-	b := w.gateBackoff
-	if b < acceptBackoffMin {
-		b = acceptBackoffMin
-	} else if b *= 2; b > acceptBackoffMax {
-		b = acceptBackoffMax
-	}
-	w.gateBackoff = b
-	w.stats.acceptBackoffs.add(1)
-	if !w.acceptGated {
-		w.acceptGated = true
-		w.poller.Remove(w.lfd)
-	}
-	w.gateUntil = now.Add(b)
-}
-
-// reArmAccept restores a gated listener to the interest set once the
-// backoff has expired.
-func (w *shard) reArmAccept(now time.Time) {
-	if !w.acceptGated || now.Before(w.gateUntil) {
-		return
-	}
-	w.acceptGated = false
-	if w.lfd >= 0 && !w.draining {
-		if err := w.poller.Add(w.lfd, true, false); err != nil {
-			reactor.CloseFD(w.lane, w.lfd)
-			w.lfd = -1
-		}
-	}
+	return w.ln.WaitMs(now, ms)
 }
 
 // maxFreeConns bounds a shard's free list (free and retired together):
@@ -1302,7 +1068,7 @@ func (w *shard) assertInterest() {
 			"core: conn fd %d in table but missing from epoll interest set", fd)
 	}
 	expected := len(w.conns) + 1
-	if w.lfd >= 0 && !w.acceptGated {
+	if w.ln.FD() >= 0 && !w.ln.Gated() {
 		expected++
 	}
 	invariant.Assertf(w.poller.InterestCount() == expected,
@@ -1316,14 +1082,7 @@ func (w *shard) assertInterest() {
 // responses flush.
 func (w *shard) beginDrain() {
 	w.draining = true
-	if w.lfd >= 0 {
-		if !w.acceptGated {
-			w.poller.Remove(w.lfd)
-		}
-		reactor.CloseFD(w.lane, w.lfd)
-		w.lfd = -1
-		w.acceptGated = false
-	}
+	w.ln.Close()
 	for _, c := range w.conns {
 		if len(c.out) == 0 {
 			w.closeConn(c)
@@ -1345,17 +1104,7 @@ func (w *shard) shutdown() {
 		releaseOut(c)
 	}
 	w.conns = nil
-	if w.lfd >= 0 {
-		if !w.acceptGated {
-			w.poller.Remove(w.lfd)
-		}
-		reactor.CloseFD(w.lane, w.lfd)
-		w.lfd = -1
-	}
-	if w.reserve >= 0 {
-		reactor.CloseFD(w.lane, w.reserve)
-		w.reserve = -1
-	}
+	w.ln.Close()
 	// Connections handed over but never registered still hold a
 	// connsOpen slot; release them too.
 	if w.ring != nil {

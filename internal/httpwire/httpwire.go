@@ -443,3 +443,44 @@ func appendHead(dst []byte, code int, contentType string, contentLen int64, keep
 	}
 	return dst
 }
+
+// AppendRefusal serializes the 503 that answers a connection a server
+// will not serve — turned away at accept by the admission controller,
+// the MaxConns ceiling or the descriptor-exhaustion recovery: Retry-After
+// and Connection: close, so a well-behaved client backs off instead of
+// hammering, and from a proxy its Via token, so the client can attribute
+// the refusal to the tier (via == "" omits it).
+func AppendRefusal(dst []byte, retryAfterSec int, via string) []byte {
+	extra := [2]Header{{Name: "Retry-After", Value: strconv.Itoa(retryAfterSec)}, {Name: "Via", Value: via}}
+	n := len(extra)
+	if via == "" {
+		n = 1
+	}
+	return AppendResponseHeaderExtra(dst, 503, "text/plain", 0, false, extra[:n]...)
+}
+
+// Refusal is AppendRefusal for a fixed Retry-After, serialized once and
+// reused: an accept storm sheds every connection with the same bytes.
+// Only the Date in them moves, so the head is rebuilt when the cached
+// Date has — at most once a second. Not safe for concurrent use: each
+// accepting thread holds its own.
+type Refusal struct {
+	retryAfterSec int
+	via           string
+	date          string
+	head          []byte
+}
+
+// NewRefusal prepares the refusal; the first Bytes call serializes it.
+func NewRefusal(retryAfterSec int, via string) *Refusal {
+	return &Refusal{retryAfterSec: retryAfterSec, via: via}
+}
+
+// Bytes returns the serialized head, valid until the next call.
+func (r *Refusal) Bytes() []byte {
+	if d := DateString(); d != r.date {
+		r.date = d
+		r.head = AppendRefusal(r.head[:0], r.retryAfterSec, r.via)
+	}
+	return r.head
+}

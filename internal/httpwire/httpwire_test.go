@@ -347,3 +347,33 @@ func TestAppendResponseHeaderExtra(t *testing.T) {
 		t.Fatalf("extra-less helper diverged:\n%q\n%q", plain, bare)
 	}
 }
+
+// A Refusal is AppendRefusal's bytes serialized once: the same slice
+// comes back, with no allocation, until the cached Date moves, and then
+// the head carries the new Date.
+func TestRefusalTracksTheDate(t *testing.T) {
+	RefreshDate(time.Date(2004, 4, 26, 12, 0, 0, 0, time.UTC))
+	for _, via := range []string{"", "1.1 nioproxy"} {
+		r := NewRefusal(3, via)
+		first := r.Bytes()
+		want := AppendResponseHeaderExtra(nil, 503, "text/plain", 0, false, Header{Name: "Retry-After", Value: "3"})
+		if via != "" {
+			want = AppendResponseHeaderExtra(nil, 503, "text/plain", 0, false,
+				Header{Name: "Retry-After", Value: "3"}, Header{Name: "Via", Value: via})
+		}
+		if string(first) != string(want) || string(first) != string(AppendRefusal(nil, 3, via)) {
+			t.Fatalf("via %q: refusal\n%q\nwant\n%q", via, first, want)
+		}
+		if n := testing.AllocsPerRun(100, func() { r.Bytes() }); n != 0 {
+			t.Errorf("via %q: Bytes allocates %.1f objects with the Date unchanged", via, n)
+		}
+		if again := r.Bytes(); &again[0] != &first[0] {
+			t.Errorf("via %q: Bytes re-serialized with the Date unchanged", via)
+		}
+		RefreshDate(time.Date(2004, 4, 26, 12, 0, 1, 0, time.UTC))
+		if got := string(r.Bytes()); !strings.Contains(got, "Date: Mon, 26 Apr 2004 12:00:01 GMT\r\n") {
+			t.Errorf("via %q: refusal kept a stale Date:\n%q", via, got)
+		}
+		RefreshDate(time.Date(2004, 4, 26, 12, 0, 0, 0, time.UTC))
+	}
+}

@@ -27,6 +27,7 @@ import (
 	"repro/internal/invariant"
 	"repro/internal/obs"
 	"repro/internal/overload"
+	"repro/internal/reactor"
 	"repro/internal/sysfault"
 )
 
@@ -359,15 +360,15 @@ func (s *Server) Drain(timeout time.Duration) bool {
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
-	// The fd-exhaustion reserve is acceptor-owned: one descriptor held
-	// on /dev/null purely so it can be closed to free a slot when
-	// accept reports EMFILE (see recoverFDExhaustion).
-	reserve := openReserve()
+	// The fd-exhaustion reserve and the static refusal are acceptor-owned
+	// (see recoverFDExhaustion).
+	reserve := reactor.OpenReserve()
 	defer func() {
 		if reserve >= 0 {
 			_ = syscall.Close(reserve)
 		}
 	}()
+	refusal := httpwire.NewRefusal(shedRetryAfterSec, "")
 	backoff := time.Duration(0)
 	for {
 		conn, err := s.ln.Accept()
@@ -382,16 +383,12 @@ func (s *Server) acceptLoop() {
 			}
 			if errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE) {
 				s.acceptEMFILE.Add(1)
-				s.recoverFDExhaustion(&reserve)
+				s.recoverFDExhaustion(&reserve, refusal)
 			}
 			// Whatever the failure, retrying instantly would spin a hot
 			// loop against a condition that has not changed; pace the
-			// retries with a capped exponential backoff instead.
-			if backoff < acceptBackoffMin {
-				backoff = acceptBackoffMin
-			} else if backoff *= 2; backoff > acceptBackoffMax {
-				backoff = acceptBackoffMax
-			}
+			// retries with the reactor's capped exponential backoff instead.
+			backoff = reactor.NextAcceptBackoff(backoff)
 			s.acceptBackoffs.Add(1)
 			select {
 			case <-s.stopping:
@@ -408,11 +405,7 @@ func (s *Server) acceptLoop() {
 		// accepts against its latency target. Shed clients are told when
 		// to come back.
 		if ac := s.cfg.Admission; ac != nil && !ac.Admit() {
-			s.shed.Add(1)
-			if pl := s.cfg.Obs; pl != nil {
-				pl.Record(0, obs.Shed, 0)
-			}
-			shedConn(conn, ac.RetryAfterSeconds())
+			s.shedConn(conn, httpwire.AppendRefusal(nil, ac.RetryAfterSeconds(), ""))
 			continue
 		}
 		// MaxConns stays as the hard ceiling above the controller: past
@@ -420,11 +413,7 @@ func (s *Server) acceptLoop() {
 		// instead of joining the handoff queue — bounded degradation
 		// instead of an unbounded accept pile-up.
 		if mc := s.cfg.MaxConns; mc > 0 && s.inflight.Load() >= int64(mc) {
-			s.shed.Add(1)
-			if pl := s.cfg.Obs; pl != nil {
-				pl.Record(0, obs.Shed, 0)
-			}
-			shedConn(conn, shedRetryAfterSec)
+			s.shedConn(conn, refusal.Bytes())
 			continue
 		}
 		s.inflight.Add(1)
@@ -450,30 +439,16 @@ func (s *Server) acceptLoop() {
 // by an admission controller (the static MaxConns ceiling).
 const shedRetryAfterSec = 1
 
-// shedConn answers an over-limit accept with a best-effort 503 + close,
-// carrying Retry-After so a well-behaved client backs off instead of
-// hammering.
-func shedConn(conn net.Conn, retryAfterSec int) {
-	_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
-	_, _ = conn.Write(httpwire.AppendResponseHeaderExtra(nil, 503, "text/plain", 0, false,
-		httpwire.Header{Name: "Retry-After", Value: strconv.Itoa(retryAfterSec)}))
-	conn.Close()
-}
-
-// openReserve opens the fd-exhaustion reserve descriptor. A failure
-// to open it (-1) only disables the recovery, never the server.
-func openReserve() int {
-	for {
-		fd, err := syscall.Open("/dev/null", syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
-		switch err {
-		case nil:
-			return fd
-		case syscall.EINTR:
-			// a signal is not a reason to run without the reserve
-		default:
-			return -1
-		}
+// shedConn counts an over-limit accept and answers it with a best-effort
+// refusal (httpwire.AppendRefusal) and a close.
+func (s *Server) shedConn(conn net.Conn, resp []byte) {
+	s.shed.Add(1)
+	if pl := s.cfg.Obs; pl != nil {
+		pl.Record(0, obs.Shed, 0)
 	}
+	_ = conn.SetWriteDeadline(time.Now().Add(time.Second))
+	_, _ = conn.Write(resp)
+	conn.Close()
 }
 
 // docrootPressureEvictions is how many cached entries (and so file
@@ -481,20 +456,13 @@ func openReserve() int {
 // event.
 const docrootPressureEvictions = 8
 
-// Accept-gate backoff bounds: exponential from 5ms, capped at 250ms,
-// reset by any successful accept.
-const (
-	acceptBackoffMin = 5 * time.Millisecond
-	acceptBackoffMax = 250 * time.Millisecond
-)
-
 // recoverFDExhaustion is the reserve-descriptor dance on the blocking
 // accept path: shrink the docroot cache (cached entries pin fds),
 // close the reserve to free one slot, accept the connection the
 // kernel is holding — under a short deadline, so a vanished client
 // cannot park the acceptor — answer it 503 + Retry-After, close it,
 // and re-open the reserve.
-func (s *Server) recoverFDExhaustion(reserve *int) {
+func (s *Server) recoverFDExhaustion(reserve *int, refusal *httpwire.Refusal) {
 	if dr := s.cfg.Docroot; dr != nil {
 		dr.ShedFDs(docrootPressureEvictions)
 	}
@@ -507,15 +475,11 @@ func (s *Server) recoverFDExhaustion(reserve *int) {
 	if d, ok := s.tcpLn.(deadliner); ok {
 		_ = d.SetDeadline(time.Now().Add(50 * time.Millisecond))
 		if conn, err := s.ln.Accept(); err == nil {
-			s.shed.Add(1)
-			if pl := s.cfg.Obs; pl != nil {
-				pl.Record(0, obs.Shed, 0)
-			}
-			shedConn(conn, shedRetryAfterSec)
+			s.shedConn(conn, refusal.Bytes())
 		}
 		_ = d.SetDeadline(time.Time{})
 	}
-	*reserve = openReserve()
+	*reserve = reactor.OpenReserve()
 }
 
 func (s *Server) track(c net.Conn, on bool) {

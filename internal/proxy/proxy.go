@@ -220,8 +220,10 @@ func (c *counter) get() int64  { return c.v.Load() }
 // Server is the serving tier (one event loop; see Tier for the
 // sharded N-loop arrangement).
 type Server struct {
-	cfg    Config
-	lfd    int
+	cfg Config
+	// ln is the accept edge (reactor.Listener has the policy), bound in
+	// NewServer and armed by Start.
+	ln     *reactor.Listener
 	port   int
 	lane   sysfault.Lane
 	obs    *obs.View
@@ -270,44 +272,12 @@ type Server struct {
 	ejections  counter
 	readmiss   counter
 
-	// Accept-side fd-exhaustion machinery (loop-thread-owned). The
-	// reserve descriptor is burned and re-opened to drain the accept
-	// queue under EMFILE; the gate parks the listener outside the
-	// poller so a level-triggered readable listener cannot hot-spin
-	// the event loop while the process is out of descriptors.
-	//nio:loop-owned
-	reserveFD int
-	//nio:loop-owned
-	acceptGated bool
-	//nio:loop-owned
-	acceptGateUntil time.Time
-	//nio:loop-owned
-	acceptBackoff time.Duration
-
-	wg        sync.WaitGroup
-	started   bool
-	stopping  chan struct{}
-	stopOnce  sync.Once
-	draining  atomic.Bool
-	drained   chan struct{}
-	lfdClosed bool
-}
-
-// openReserve opens the fd-exhaustion reserve descriptor (see
-// Server.reserveFD). A failure to open it (-1) only disables the
-// recovery, never the tier.
-func openReserve() int {
-	for {
-		fd, err := syscall.Open("/dev/null", syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
-		switch err {
-		case nil:
-			return fd
-		case syscall.EINTR:
-			// a signal is not a reason to run without the reserve
-		default:
-			return -1
-		}
-	}
+	wg       sync.WaitGroup
+	started  bool
+	stopping chan struct{}
+	stopOnce sync.Once
+	draining atomic.Bool
+	drained  chan struct{}
 }
 
 // dconn is one downstream (client) connection.
@@ -476,17 +446,16 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:       cfg,
-		lfd:       lfd,
-		port:      port,
-		lane:      cfg.Lane,
-		poller:    p,
-		dconns:    make(map[int]*dconn),
-		uconns:    make(map[int]*uconn),
-		buf:       make([]byte, cfg.ReadBuf),
-		reserveFD: openReserve(),
-		stopping:  make(chan struct{}),
-		drained:   make(chan struct{}),
+		cfg:      cfg,
+		ln:       reactor.NewListener(cfg.Lane, lfd, httpwire.NewRefusal(cfg.RetryAfterSec, ViaToken)),
+		port:     port,
+		lane:     cfg.Lane,
+		poller:   p,
+		dconns:   make(map[int]*dconn),
+		uconns:   make(map[int]*uconn),
+		buf:      make([]byte, cfg.ReadBuf),
+		stopping: make(chan struct{}),
+		drained:  make(chan struct{}),
 	}
 	if pl := cfg.Obs; pl != nil {
 		s.obs = pl.View(cfg.Shard)
@@ -569,7 +538,7 @@ func StatsFields(st Stats) []obs.Field {
 
 // Start launches the event loop and the per-backend probers.
 func (s *Server) Start() error {
-	if err := s.poller.Add(s.lfd, true, false); err != nil {
+	if err := s.ln.Arm(s.poller); err != nil {
 		return fmt.Errorf("proxy: register listener: %w", err)
 	}
 	s.started = true
@@ -589,11 +558,12 @@ func (s *Server) Start() error {
 func (s *Server) Stop() {
 	s.stopOnce.Do(func() {
 		close(s.stopping)
-		if !s.started && s.reserveFD >= 0 { //nio:ok loopown -- pre-start: the loop never launched, so nothing owns the reserve yet
-			// Never started: the loop's teardown will not run, so the
-			// reserve descriptor must be released here or it leaks.
-			reactor.CloseFD(s.lane, s.reserveFD) //nio:ok loopown -- pre-start teardown (see above)
-			s.reserveFD = -1                     //nio:ok loopown -- pre-start teardown (see above)
+		if !s.started {
+			// Never started: no loop will run teardown, so what NewServer
+			// opened must be closed here or it leaks.
+			s.ln.Close()
+			s.poller.Close()
+			return
 		}
 		s.poller.Wakeup()
 	})
@@ -645,14 +615,6 @@ func (s *Server) loop() {
 		default:
 		}
 		draining := s.draining.Load()
-		if draining && !s.lfdClosed {
-			if !s.acceptGated {
-				s.poller.Remove(s.lfd)
-			}
-			s.acceptGated = false
-			reactor.CloseFD(s.lane, s.lfd)
-			s.lfdClosed = true
-		}
 		if !draining {
 			for _, b := range s.backends {
 				if b.prewarmReq.CompareAndSwap(true, false) {
@@ -661,6 +623,7 @@ func (s *Server) loop() {
 			}
 		}
 		if draining {
+			s.ln.Close()
 			// Idle keep-alive clients would hold the drain open forever;
 			// close every connection with nothing in flight.
 			var idle []*dconn
@@ -685,17 +648,9 @@ func (s *Server) loop() {
 		if draining {
 			waitMs = 20
 		}
-		if s.acceptGated && !s.lfdClosed {
-			if rem := time.Until(s.acceptGateUntil); rem <= 0 {
-				// Gate expired: put the listener back in the poller.
-				if err := s.poller.Add(s.lfd, true, false); err != nil {
-					return
-				}
-				s.acceptGated = false
-			} else if ms := int(rem/time.Millisecond) + 1; waitMs < 0 || ms < waitMs {
-				// Wake when the gate expires, not before the next event.
-				waitMs = ms
-			}
+		if s.ln.Gated() {
+			// Wake when the gate expires, not before the next event.
+			waitMs = s.ln.WaitMs(time.Now(), waitMs)
 		}
 		if hb != nil {
 			hb.End()
@@ -708,10 +663,8 @@ func (s *Server) loop() {
 			return
 		}
 		for _, ev := range evs {
-			if ev.FD == s.lfd && !s.lfdClosed {
-				if !s.acceptReady() {
-					return
-				}
+			if ev.FD == s.ln.FD() {
+				s.acceptReady()
 				continue
 			}
 			if u, ok := s.uconns[ev.FD]; ok {
@@ -759,138 +712,65 @@ func (s *Server) teardown() {
 		u.b.open.Add(-1)
 	}
 	s.uconns = make(map[int]*uconn)
+	s.ln.Close()
 	s.poller.Close()
-	if !s.lfdClosed {
-		reactor.CloseFD(s.lane, s.lfd)
-		s.lfdClosed = true
-	}
-	if s.reserveFD >= 0 {
-		reactor.CloseFD(s.lane, s.reserveFD)
-		s.reserveFD = -1
-	}
 }
 
 // ---------------------------------------------------------------------
 // Downstream (client) side
 // ---------------------------------------------------------------------
 
-// acceptReady takes one connection off the listener: one accept4(2) per
-// readiness event, core's policy (shard.acceptReady has the arithmetic)
-// — the listener is level-triggered and reports again on the next Wait.
-// Returns false if the listener died.
-//
-// Resource exhaustion is not death: EMFILE/ENFILE runs the reserve-fd
-// recovery (free a slot, 503 the connection the kernel is holding) and
-// ENOBUFS/ENOMEM just backs off — both park the listener behind the
-// accept gate instead of killing the event loop, because the relays
-// already in flight still deserve service while the process waits for
-// descriptors to come back.
-func (s *Server) acceptReady() bool {
-	fd, done, err := reactor.Accept(s.lane, s.lfd)
-	if err != nil {
-		switch {
-		case errors.Is(err, syscall.EMFILE) || errors.Is(err, syscall.ENFILE):
+// acceptReady answers one readiness event on the listener: the tier's
+// admission, its MaxConns ceiling, and a new dconn. Whatever the listener
+// absorbed on the way — exhaustion, a broken listener — cost at most
+// admission, never the relays in flight.
+func (s *Server) acceptReady() {
+	now := time.Now()
+	r := s.ln.Accept(now)
+	if r.FD < 0 {
+		if r.Exhausted {
 			s.acceptEM.add(1)
-			s.recoverFDExhaustion()
-			s.gateAccepts()
-			return true
-		case errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.ENOMEM):
-			s.gateAccepts()
-			return true
 		}
-		return false
+		if r.Refused {
+			s.countShed()
+		}
+		if r.Gated {
+			s.acceptBack.add(1)
+		}
+		return
 	}
-	if done || fd < 0 {
-		return true // nothing pending, or ECONNABORTED: the peer gave up while queued
-	}
-	s.acceptBackoff = 0
+	fd := r.FD
 	s.accepted.add(1)
 	if ac := s.cfg.Admission; ac != nil && !ac.Admit() {
-		s.shed.add(1)
-		if pl := s.obs; pl != nil {
-			pl.Record(pl.NextConnID(), obs.Shed, 0)
-		}
-		shedVia(s.lane, fd, ac.RetryAfterSeconds())
-		return true
+		s.countShed()
+		s.ln.Refuse(fd, httpwire.AppendRefusal(nil, ac.RetryAfterSeconds(), ViaToken))
+		return
 	}
 	if int(s.connsOpen.get()) >= s.cfg.MaxConns {
-		s.shed.add(1)
-		if pl := s.obs; pl != nil {
-			pl.Record(pl.NextConnID(), obs.Shed, 0)
-		}
-		shedVia(s.lane, fd, s.cfg.RetryAfterSec)
-		return true
+		s.countShed()
+		s.ln.Refuse(fd, nil)
+		return
 	}
 	if err := s.poller.Add(fd, true, false); err != nil {
 		reactor.CloseFD(s.lane, fd)
-		return true
+		return
 	}
-	d := &dconn{fd: fd, peer: peerIP(fd), acceptedAt: time.Now()}
+	d := &dconn{fd: fd, peer: peerIP(fd), acceptedAt: now}
 	if pl := s.obs; pl != nil {
 		d.obsID = pl.NextConnID()
 		pl.Record(d.obsID, obs.Accept, 0)
 	}
 	s.dconns[fd] = d
 	s.connsOpen.add(1)
-	return true
 }
 
-// recoverFDExhaustion is the reserve-descriptor dance: close the
-// reserve to free one slot, accept the connection the kernel is
-// holding, answer it 503 + Retry-After so the client backs off
-// instead of timing out in silence, close it, and re-open the
-// reserve. Without this, the pending connection would sit in the
-// accept queue until a descriptor freed by chance.
-func (s *Server) recoverFDExhaustion() {
-	if s.reserveFD < 0 {
-		return
+// countShed counts one refusal at accept; the 503 carries the Via token,
+// so clients can attribute it to the proxy layer.
+func (s *Server) countShed() {
+	s.shed.add(1)
+	if pl := s.obs; pl != nil {
+		pl.Record(pl.NextConnID(), obs.Shed, 0)
 	}
-	reactor.CloseFD(s.lane, s.reserveFD)
-	s.reserveFD = -1
-	fd, done, err := reactor.Accept(s.lane, s.lfd)
-	if err == nil && !done && fd >= 0 {
-		s.shed.add(1)
-		if pl := s.obs; pl != nil {
-			pl.Record(pl.NextConnID(), obs.Shed, 0)
-		}
-		shedVia(s.lane, fd, s.cfg.RetryAfterSec)
-	}
-	s.reserveFD = openReserve()
-}
-
-// Accept-gate backoff bounds: exponential from 5ms, capped at 250ms,
-// reset to zero by any successful accept.
-const (
-	acceptBackoffMin = 5 * time.Millisecond
-	acceptBackoffMax = 250 * time.Millisecond
-)
-
-// gateAccepts parks the listener outside the poller for the current
-// backoff window (doubling up to the cap). The event loop re-arms it
-// once the window expires; meanwhile in-flight relays keep running —
-// the gate pauses admission, never service.
-func (s *Server) gateAccepts() {
-	if s.acceptBackoff < acceptBackoffMin {
-		s.acceptBackoff = acceptBackoffMin
-	} else if s.acceptBackoff *= 2; s.acceptBackoff > acceptBackoffMax {
-		s.acceptBackoff = acceptBackoffMax
-	}
-	s.acceptBack.add(1)
-	s.acceptGateUntil = time.Now().Add(s.acceptBackoff)
-	if !s.acceptGated {
-		s.poller.Remove(s.lfd)
-		s.acceptGated = true
-	}
-}
-
-// shedVia is shedConn with the tier's provenance: the 503 carries the
-// Via token so clients can attribute the refusal to the proxy layer.
-func shedVia(lane sysfault.Lane, fd int, retryAfterSec int) {
-	resp := httpwire.AppendResponseHeaderExtra(nil, 503, "text/plain", 0, false,
-		httpwire.Header{Name: "Retry-After", Value: strconv.Itoa(retryAfterSec)},
-		httpwire.Header{Name: "Via", Value: ViaToken})
-	_, _, _ = reactor.Write(lane, fd, resp)
-	reactor.CloseFD(lane, fd)
 }
 
 // peerIP returns the connected peer's IPv4 address (for XFF), or "".

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -595,6 +596,36 @@ func TestDrain(t *testing.T) {
 	}
 	if _, err := net.DialTimeout("tcp", p.Addr(), 200*time.Millisecond); err == nil {
 		t.Fatal("listener still accepting after drain")
+	}
+}
+
+// A tier whose later member fails to bind stops the members it already
+// built without ever starting them: Stop then has to return everything
+// NewServer opened (listener, epoll instance, wakeup pipe). Counted over
+// many rounds, so that a descriptor some earlier test's client is still
+// closing in the background cannot pass for a leak or hide one.
+func TestStopBeforeStartReturnsEveryDescriptor(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	const rounds = 32
+	base := openFDs()
+	for i := 0; i < rounds; i++ {
+		s, err := NewServer(noProbes(BackendConfig{Addr: "127.0.0.1:1"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Stop()
+		if _, err := net.DialTimeout("tcp", s.Addr(), 200*time.Millisecond); err == nil {
+			t.Fatal("listener still bound after Stop")
+		}
+	}
+	if grown := openFDs() - base; grown >= rounds {
+		t.Fatalf("%d more descriptors open after %d NewServer+Stop rounds: at least one leaks per round", grown, rounds)
 	}
 }
 

@@ -171,6 +171,46 @@ func requireSeededReplay(t *testing.T, seed uint64, plan string, inj *sysfault.I
 	}
 }
 
+// requireLaneReplay is requireSeededReplay for servers whose loops draw
+// from several fault lanes: each lane's live decisions at site must
+// match an offline re-enumeration of that lane's own stream, call count
+// for call count. On a single-lane server it is the same check.
+func requireLaneReplay(t *testing.T, seed uint64, plan string, inj *sysfault.Injector, site sysfault.Site, lanes ...sysfault.Lane) {
+	t.Helper()
+	live := inj.Decisions()
+	if len(live) >= 4096 {
+		t.Logf("replay check skipped: the retained decision log is full")
+		return
+	}
+	for _, lane := range lanes {
+		offline := sysfault.New(seed, sysfault.MustParsePlan(plan)...)
+		var want []sysfault.Decision
+		for i := uint64(0); i < inj.LaneStats(lane)[site].Calls; i++ {
+			if d, ok := offline.StepLane(site, lane); ok {
+				want = append(want, d)
+			}
+		}
+		var got []sysfault.Decision
+		for _, d := range live {
+			if d.Site == site && d.Lane == lane {
+				got = append(got, d)
+			}
+		}
+		sort.Slice(got, func(i, j int) bool { return got[i].Index < got[j].Index })
+		if len(got) != len(want) {
+			t.Errorf("site %s lane %d: live run fired %d decisions, offline replay fired %d",
+				site, lane, len(got), len(want))
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("site %s lane %d: decision %d diverged: live %v, replay %v",
+					site, lane, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // countFires tallies the live decisions at site whose errno matches
 // (errno 0 matches short-transfer injections).
 func countFires(inj *sysfault.Injector, site sysfault.Site, errno syscall.Errno) int64 {
@@ -229,6 +269,24 @@ type faultServer struct {
 	pl   *obs.Plane
 	nio  *core.Server
 	mt   *mtserver.Server
+	px   *proxy.Tier
+	// lanes are the fault lanes the server's accepting threads draw from.
+	lanes []sysfault.Lane
+}
+
+// acceptCounters returns the server's accept-hardening counters.
+func (fs faultServer) acceptCounters() (emfile, backoffs int64) {
+	switch {
+	case fs.nio != nil:
+		st := fs.nio.Stats()
+		return st.AcceptEMFILE, st.AcceptBackoffs
+	case fs.px != nil:
+		st := fs.px.Stats()
+		return st.AcceptEMFILE, st.AcceptBackoffs
+	default:
+		st := fs.mt.Stats()
+		return st.AcceptEMFILE, st.AcceptBackoffs
+	}
 }
 
 // startFaultServer starts one server of the given kind. The core runs
@@ -236,7 +294,9 @@ type faultServer struct {
 // streams (count-budgeted plans replay exactly); the thread pool runs
 // a small fixed pool — its fault handling is per-connection, so thread
 // count only affects interleaving, which the probability rules are
-// immune to by construction.
+// immune to by construction. "core/shards=N" is the core accepting on N
+// SO_REUSEPORT listeners, shard i on lane i; "nioproxy" is a one-loop
+// tier (lane 0) in front of a "nio" backend of its own.
 func startFaultServer(t *testing.T, kind string, store core.Store, root *docroot.Root) faultServer {
 	t.Helper()
 	wd, err := overload.NewWatchdog(overload.WatchdogConfig{Interval: 100 * time.Millisecond})
@@ -245,9 +305,10 @@ func startFaultServer(t *testing.T, kind string, store core.Store, root *docroot
 	}
 	pl := obs.NewPlane(4096)
 	switch kind {
-	case "nio":
+	case "nio", "core/shards=1", "core/shards=4":
 		cfg := core.DefaultConfig(store)
 		cfg.Workers = 1
+		fmt.Sscanf(kind, "core/shards=%d", &cfg.Shards) // "nio" leaves the fan-out acceptor
 		cfg.Docroot = root
 		cfg.Watchdog = wd
 		cfg.Obs = pl
@@ -258,7 +319,26 @@ func startFaultServer(t *testing.T, kind string, store core.Store, root *docroot
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)
 		}
-		fs := faultServer{addr: srv.Addr(), stop: func() { srv.Stop(); wd.Stop() }, wd: wd, pl: pl, nio: srv}
+		fs := faultServer{addr: srv.Addr(), stop: func() { srv.Stop(); wd.Stop() }, wd: wd, pl: pl, nio: srv, lanes: []sysfault.Lane{0}}
+		for i := 1; i < cfg.Shards; i++ {
+			fs.lanes = append(fs.lanes, sysfault.Lane(i))
+		}
+		t.Cleanup(fs.stop)
+		return fs
+	case "nioproxy":
+		backend := startFaultServer(t, "nio", store, root)
+		cfg := proxy.DefaultConfig([]proxy.BackendConfig{{Addr: backend.addr, Name: "b0"}})
+		cfg.ProbeEvery = 0
+		cfg.Watchdog = wd
+		cfg.Obs = pl
+		p, err := proxy.NewTier(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		fs := faultServer{addr: p.Addr(), stop: func() { p.Stop(); wd.Stop() }, wd: wd, pl: pl, px: p, lanes: []sysfault.Lane{0}}
 		t.Cleanup(fs.stop)
 		return fs
 	case "mt":
@@ -274,7 +354,7 @@ func startFaultServer(t *testing.T, kind string, store core.Store, root *docroot
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)
 		}
-		fs := faultServer{addr: srv.Addr(), stop: func() { srv.Stop(); wd.Stop() }, wd: wd, pl: pl, mt: srv}
+		fs := faultServer{addr: srv.Addr(), stop: func() { srv.Stop(); wd.Stop() }, wd: wd, pl: pl, mt: srv, lanes: []sysfault.Lane{0}}
 		t.Cleanup(fs.stop)
 		return fs
 	}
@@ -293,13 +373,14 @@ func TestSysfaultAcceptEMFILESurvival(t *testing.T) {
 		t.Skip("integration-scale")
 	}
 	body := patternBody(4 << 10)
-	for _, kind := range []string{"nio", "mt"} {
+	for _, kind := range []string{"nio", "mt", "core/shards=1", "core/shards=4", "nioproxy"} {
 		t.Run(kind, func(t *testing.T) {
 			seed := sysfaultSeed(t)
 			srv := startFaultServer(t, kind, core.MapStore{"/obj/0": body}, nil)
-			dumpRingOnFailure(t, "sysfault-accept-"+kind, srv.pl)
+			name := "sysfault-accept-" + strings.ReplaceAll(kind, "/", "-")
+			dumpRingOnFailure(t, name, srv.pl)
 			const plan = "accept:emfile:0.5"
-			inj := installFaults(t, "sysfault-accept-"+kind, seed, plan)
+			inj := installFaults(t, name, seed, plan)
 
 			oks, sheds := 0, 0
 			for i := 0; i < 50; i++ {
@@ -328,14 +409,7 @@ func TestSysfaultAcceptEMFILESurvival(t *testing.T) {
 			if fires == 0 {
 				t.Fatal("plan fired no accept faults; the test exercised nothing")
 			}
-			var emfile, backoffs int64
-			if srv.nio != nil {
-				st := srv.nio.Stats()
-				emfile, backoffs = st.AcceptEMFILE, st.AcceptBackoffs
-			} else {
-				st := srv.mt.Stats()
-				emfile, backoffs = st.AcceptEMFILE, st.AcceptBackoffs
-			}
+			emfile, backoffs := srv.acceptCounters()
 			// The recovery path's own drain accept can draw a fired
 			// EMFILE too (uncounted by design), so the counter is
 			// bounded by the fires, not equal to them.
@@ -348,8 +422,75 @@ func TestSysfaultAcceptEMFILESurvival(t *testing.T) {
 			t.Logf("%s: %d ok, %d shed, %d injected EMFILE, %d absorbed, %d backoffs",
 				kind, oks, sheds, fires, emfile, backoffs)
 
-			requireSeededReplay(t, seed, plan, inj, sysfault.SiteAccept)
+			requireLaneReplay(t, seed, plan, inj, sysfault.SiteAccept, srv.lanes...)
 			requireAlive(t, srv.addr)
+			requireWatchdogClean(t, srv.wd)
+		})
+	}
+}
+
+// TestAcceptPendingNetworkErrorIsNotFatal: accept4 also delivers errors
+// that were pending on the NEW connection (EHOSTUNREACH, EPROTO,
+// ENETDOWN, ...; accept(2) says to treat them like EAGAIN). One such
+// client costs itself, never the listener: the server keeps accepting,
+// nothing is counted as exhaustion, and what was already open — a
+// keep-alive client on the proxy — is still served.
+func TestAcceptPendingNetworkErrorIsNotFatal(t *testing.T) {
+	body := patternBody(4 << 10)
+	for _, kind := range []string{"core/shards=1", "nio", "nioproxy", "mt"} {
+		t.Run(kind, func(t *testing.T) {
+			srv := startFaultServer(t, kind, core.MapStore{"/obj/0": body}, nil)
+			name := "accept-neterr-" + strings.ReplaceAll(kind, "/", "-")
+			dumpRingOnFailure(t, name, srv.pl)
+
+			// Opened and used before the fault: through the proxy its
+			// upstream connection is pooled, so the backend accepts nothing
+			// more and the one injected error lands on the server under test.
+			kc, err := net.DialTimeout("tcp", srv.addr, 2*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer kc.Close()
+			kr := bufio.NewReader(kc)
+			keepAliveGet := func(when string) {
+				t.Helper()
+				kc.SetDeadline(time.Now().Add(2 * time.Second))
+				if _, err := kc.Write([]byte("GET /obj/0 HTTP/1.1\r\nHost: sut\r\n\r\n")); err != nil {
+					t.Fatalf("keep-alive client %s: %v", when, err)
+				}
+				resp, err := http.ReadResponse(kr, nil)
+				if err != nil {
+					t.Fatalf("keep-alive client %s: %v", when, err)
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != 200 || !bytes.Equal(got, body) {
+					t.Fatalf("keep-alive client %s: status %d, %d bytes, err %v", when, resp.StatusCode, len(got), err)
+				}
+			}
+			keepAliveGet("before the fault")
+
+			const plan = "accept:ehostunreach:1:count=1"
+			inj := installFaults(t, name, sysfaultSeed(t), plan)
+			for i := 0; i < 5; i++ {
+				status, got, err := sysfaultGet(srv.addr, "/obj/0", 2*time.Second)
+				if err != nil || status != 200 || !bytes.Equal(got, body) {
+					t.Fatalf("fetch %d after a pending network error at accept: status %d, %d bytes, err %v",
+						i, status, len(got), err)
+				}
+			}
+			keepAliveGet("after the fault")
+			sysfault.Uninstall()
+
+			if fires := inj.Stats()[sysfault.SiteAccept].Fires; fires != 1 {
+				t.Fatalf("plan fired %d accept faults, want exactly 1", fires)
+			}
+			if emfile, backoffs := srv.acceptCounters(); emfile != 0 || (backoffs != 0 && srv.mt == nil) {
+				// mtserver paces its retry after ANY accept error; the reactors
+				// must not mistake this one for exhaustion.
+				t.Errorf("accept_emfile = %d, accept_backoffs = %d after one EHOSTUNREACH", emfile, backoffs)
+			}
+			requireLaneReplay(t, sysfaultSeed(t), plan, inj, sysfault.SiteAccept, srv.lanes...)
 			requireWatchdogClean(t, srv.wd)
 		})
 	}
